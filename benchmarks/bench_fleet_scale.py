@@ -1,26 +1,24 @@
 """Fleet-scale throughput benchmark: columnar vs per-customer vs parallel.
 
 Generates synthetic customer populations with :mod:`repro.workloads`,
-then measures the :class:`~repro.fleet.engine.FleetEngine` fit +
-recommendation throughput at several fleet sizes along three paths:
+then measures fit + recommendation throughput at several fleet sizes
+along three paths:
 
-* **columnar** (serial backend, the default batch kernel: one
-  capacity matrix and one curve-cache key-batch per chunk),
-* **per-customer** (serial backend with ``columnar=False`` -- the
-  pre-columnar reference path), and
-* **parallel** (columnar over the thread/process pool).
+* **columnar** (:class:`~repro.fleet.engine.FleetEngine` on the serial
+  backend: one capacity matrix and one curve-cache key-batch per
+  chunk),
+* **per-customer** (a plain :class:`~repro.core.engine.DopplerEngine`
+  loop -- ``training_observation`` per record, ``recommend`` per
+  customer -- the single-customer reference the fleet must match),
+  and
+* **parallel** (columnar over the process pool).
 
-Two further sections compare substrates rather than algorithms:
-
-* **zero-copy vs pickle** -- the process backend's fit+recommend pass
-  with the shared-memory data plane on and off.  On a >= 4-core
-  machine the zero-copy pass must deliver at least
-  ``--min-zero-copy-speedup`` (default 1.5x) the pickled throughput,
-  and ``/dev/shm`` must end the pass exactly as it started.
-* **compiled vs numpy kernel** -- the violation-counting kernels of
-  :mod:`repro.core.throttling`, timed head-to-head when numba is
-  installed (byte-identical counts asserted) and recorded as
-  numpy-only otherwise.
+A further section compares data planes rather than algorithms:
+**zero-copy vs pickle** -- the process backend's fit+recommend pass
+with the shared-memory data plane on and off.  On a >= 4-core machine
+the zero-copy pass must deliver at least ``--min-zero-copy-speedup``
+(default 1.5x) the pickled throughput, and ``/dev/shm`` must end the
+pass exactly as it started.
 
 Every pass must produce byte-identical recommendations (the fleet
 determinism contract, asserted here), and on a full run the columnar
@@ -64,12 +62,7 @@ if __package__ in (None, ""):  # running as a script without installation
 
 from repro import DopplerEngine, FleetCustomer, FleetEngine, SkuCatalog
 from repro.catalog import DeploymentType
-from repro.core.throttling import (
-    numba_available,
-    resolve_kernel,
-    use_kernel,
-    violation_counts,
-)
+from repro.core.matching import GroupScoreModel
 from repro.fleet import FleetRecommendation, summarize_fleet
 from repro.fleet.arena import leaked_segments
 from repro.simulation import FleetConfig, simulate_fleet
@@ -158,16 +151,59 @@ def canonical_bytes(results: list[FleetRecommendation]) -> bytes:
     return "\n".join(lines).encode("utf-8")
 
 
-def fit_fitted_engine(
-    records, catalog: SkuCatalog, columnar: bool
-) -> tuple[FleetEngine, float]:
+def fit_columnar(records, catalog: SkuCatalog) -> tuple[FleetEngine, float]:
     """A freshly fitted serial fleet engine plus its fit wall time."""
-    fleet = FleetEngine(
-        engine=DopplerEngine(catalog=catalog), backend="serial", columnar=columnar
-    )
+    fleet = FleetEngine(engine=DopplerEngine(catalog=catalog), backend="serial")
     start = time.perf_counter()
     fleet.fit_fleet(records)
     return fleet, time.perf_counter() - start
+
+
+def fit_per_customer(records, catalog: SkuCatalog) -> tuple[DopplerEngine, float]:
+    """The reference fit: one ``training_observation`` per record.
+
+    Grouped and installed as :meth:`DopplerEngine.fit` does, except
+    that a record whose curve cannot be built is skipped, as
+    ``fit_fleet`` skips it.
+    """
+    engine = DopplerEngine(catalog=catalog)
+    start = time.perf_counter()
+    observations: dict[DeploymentType, list] = {d: [] for d in DeploymentType}
+    for record in records:
+        try:
+            observation = engine.training_observation(record)
+        except ValueError:
+            continue
+        if observation is not None:
+            observations[record.deployment].append(observation)
+    for deployment, group in observations.items():
+        if group:
+            engine.install_group_model(deployment, GroupScoreModel.fit(group))
+    return engine, time.perf_counter() - start
+
+
+def recommend_per_customer(
+    engine: DopplerEngine, customers: list[FleetCustomer]
+) -> list[FleetRecommendation]:
+    """The reference pass: one ``DopplerEngine.recommend`` per customer,
+    failures contained as ``TypeName: message`` like the fleet does."""
+    results = []
+    for customer in customers:
+        sizes = list(customer.file_sizes_gib) if customer.file_sizes_gib else None
+        try:
+            rec = engine.recommend(customer.trace, customer.deployment, file_sizes_gib=sizes)
+        except Exception as exc:  # noqa: BLE001 - one bad trace must not stop the pass
+            results.append(
+                FleetRecommendation(
+                    customer.customer_id, None, error=f"{type(exc).__name__}: {exc}"
+                )
+            )
+            continue
+        over = None
+        if customer.current_sku_name is not None:
+            over = DopplerEngine.is_over_provisioned_on(rec.curve, customer.current_sku_name)
+        results.append(FleetRecommendation(customer.customer_id, rec, over_provisioned=over))
+    return results
 
 
 def process_pass(
@@ -186,56 +222,6 @@ def process_pass(
     return canonical_bytes(results), time.perf_counter() - start
 
 
-def time_kernel(demands, caps, repeats: int = 5) -> float:
-    """Best-of-``repeats`` seconds for one violation_counts evaluation."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        violation_counts(demands, caps)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def kernel_section(seed: int) -> tuple[dict, bool, list[str]]:
-    """Compiled-vs-numpy kernel comparison; (record, identity_ok, lines)."""
-    rng = np.random.default_rng(seed)
-    demands = rng.uniform(0.0, 120.0, size=(4096, 6))
-    caps = rng.uniform(30.0, 100.0, size=(32, 6))
-    use_kernel("numpy")
-    numpy_counts = violation_counts(demands, caps)
-    numpy_seconds = time_kernel(demands, caps)
-    record: dict = {
-        "numba_available": numba_available(),
-        "problem": "4096x6 demands vs 32x6 caps",
-        "numpy_evals_per_sec": 1.0 / numpy_seconds,
-    }
-    identity_ok = True
-    lines = []
-    if numba_available():
-        use_kernel("numba")
-        numba_counts = violation_counts(demands, caps)  # includes JIT warm-up
-        identity_ok = numba_counts.tobytes() == numpy_counts.tobytes()
-        numba_seconds = time_kernel(demands, caps)
-        record["numba_evals_per_sec"] = 1.0 / numba_seconds
-        record["numba_speedup"] = numpy_seconds / numba_seconds
-        record["identical_counts"] = identity_ok
-        lines.append(
-            f"kernel  numpy {1.0 / numpy_seconds:>8.1f} evals/s  "
-            f"numba {1.0 / numba_seconds:>8.1f} evals/s  "
-            f"speedup {numpy_seconds / numba_seconds:.2f}x  identical={identity_ok}"
-        )
-    else:
-        lines.append(
-            f"kernel  numpy {1.0 / numpy_seconds:>8.1f} evals/s  "
-            "(numba not installed; compiled path skipped)"
-        )
-    use_kernel("auto")
-    record["auto_resolution"] = resolve_kernel()
-    lines.append(f"kernel  auto resolves to {record['auto_resolution']!r} here")
-    use_kernel("numpy")
-    return record, identity_ok, lines
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -247,12 +233,6 @@ def main(argv: list[str] | None = None) -> int:
         "--smoke",
         action="store_true",
         help="tiny fast run for CI: small fleet, short traces, no speedup gates",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="process",
-        help="parallel backend to compare against serial (default: process)",
     )
     parser.add_argument("--workers", type=int, default=None, help="parallel pool size")
     parser.add_argument(
@@ -296,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     cores = os.cpu_count() or 1
     workers = args.workers or cores
     lines = [
-        f"fleet-scale benchmark: backend={args.backend} workers={workers} "
+        f"fleet-scale benchmark: backend=process workers={workers} "
         f"cores={cores} trace={duration:g}d@{interval:g}min",
     ]
 
@@ -309,10 +289,8 @@ def main(argv: list[str] | None = None) -> int:
     records = [customer.record for customer in train_fleet]
     # Columnar first: the per-customer pass then reuses the traces'
     # memoized demand matrices, keeping the comparison conservative.
-    columnar_fleet, columnar_fit_seconds = fit_fitted_engine(records, catalog, True)
-    per_customer_fleet, per_customer_fit_seconds = fit_fitted_engine(
-        records, catalog, False
-    )
+    columnar_fleet, columnar_fit_seconds = fit_columnar(records, catalog)
+    per_customer_engine, per_customer_fit_seconds = fit_per_customer(records, catalog)
     fit_line = (
         f"fit n={len(records):>5}  per-customer {len(records) / per_customer_fit_seconds:>8.1f} rec/s "
         f"({per_customer_fit_seconds:.2f}s)  columnar {len(records) / columnar_fit_seconds:>8.1f} rec/s "
@@ -339,11 +317,11 @@ def main(argv: list[str] | None = None) -> int:
         columnar_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        per_customer_results = list(per_customer_fleet.recommend_fleet(customers))
+        per_customer_results = recommend_per_customer(per_customer_engine, customers)
         per_customer_seconds = time.perf_counter() - start
 
         parallel_engine = FleetEngine(
-            engine=columnar_fleet.engine, backend=args.backend, max_workers=workers
+            engine=columnar_fleet.engine, backend="process", max_workers=workers
         )
         start = time.perf_counter()
         parallel_results = list(parallel_engine.recommend_fleet(customers))
@@ -442,26 +420,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.smoke:
         lines.append("smoke mode: speedup gates skipped (timing noise on shared CI runners)")
 
-    kernel_record, kernel_identity_ok, kernel_lines = kernel_section(args.seed)
-    for kernel_line in kernel_lines:
-        print(kernel_line)
-    lines.extend(kernel_lines)
-    if not kernel_identity_ok:
-        failed_identity = True
-
     record = {
         "benchmark": "fleet",
         "timestamp": time.time(),
         "python": platform.python_version(),
         "smoke": args.smoke,
-        "backend": args.backend,
+        "backend": "process",
         "workers": workers,
         "cores": cores,
         "min_speedup": args.min_speedup,
         "min_columnar_speedup": args.min_columnar_speedup,
         "min_zero_copy_speedup": args.min_zero_copy_speedup,
         "zero_copy_workers": zero_copy_workers,
-        "kernel": kernel_record,
         "fit": {
             "n_records": len(records),
             "per_customer_records_per_sec": len(records) / per_customer_fit_seconds,
@@ -478,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
     if failed_identity:
         print(
             "FAIL: passes are not byte-identical (columnar/per-customer/parallel/"
-            "zero-copy/kernel) or arena segments leaked",
+            "zero-copy) or arena segments leaked",
             file=sys.stderr,
         )
         return 1

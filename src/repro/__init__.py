@@ -19,8 +19,9 @@ Quickstart::
     recommendation = engine.recommend(trace, DeploymentType.SQL_DB)
     print(recommendation.explain())
 
-See README.md for the architecture overview, DESIGN.md for the system
-inventory and EXPERIMENTS.md for paper-versus-measured results.
+See README.md for the architecture overview ("Layout" maps each
+subpackage) and the benchmark commands that regenerate the paper's
+tables and figures.
 """
 
 from .catalog import (

@@ -3,7 +3,8 @@
 Models the cloud-target side of the recommendation problem: SKU
 capacity vectors, premium-disk storage tiers for Managed Instance, the
 billing interface and a generated 200+-SKU catalog standing in for the
-proprietary Azure price sheet (see DESIGN.md section 2).
+proprietary Azure price sheet (the substitution argument is in
+:mod:`repro.catalog.models`).
 """
 
 from .catalog import SkuCatalog

@@ -12,7 +12,7 @@ Everything downstream of the catalog (the Price-Performance Modeler,
 the baseline strategy, the profiling pipeline) consumes SKUs only
 through :class:`SkuSpec`: a capacity vector plus a price.  That is what
 makes the substitution of the proprietary Azure billing catalog with a
-generated one sound -- see DESIGN.md section 2.
+generated one sound.
 """
 
 from __future__ import annotations

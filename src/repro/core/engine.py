@@ -36,7 +36,7 @@ from .types import CloudCustomerRecord, DopplerRecommendation, OverProvisionRepo
 __all__ = ["DopplerEngine"]
 
 #: Price-rank slack past the cheapest full-performance point beyond
-#: which a customer counts as over-provisioned (DESIGN.md section 5).
+#: which a customer counts as over-provisioned (paper Section 5.1).
 _OVERPROVISION_RANK_SLACK = 2
 
 
@@ -127,9 +127,8 @@ class DopplerEngine:
     ) -> GroupObservation | None:
         """One record's contribution to the group statistics, or None.
 
-        The per-record body of :meth:`fit`, shared with distributed
-        trainers (the fleet engine calls it per record with memoized
-        curves).  Returns None when the record is filtered out: not
+        The per-record body of :meth:`fit`, and the reference the
+        fleet engine's batched training pass must match.  Returns None when the record is filtered out: not
         settled >= 40 days, chosen SKU not on the curve, or (when
         excluding) over-provisioned.
 

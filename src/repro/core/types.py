@@ -106,8 +106,8 @@ class OverProvisionReport:
         recommended_sku: The cheapest SKU meeting the workload at
             100 % (None when even the current SKU throttles).
         is_over_provisioned: Whether the customer sits materially past
-            the cheapest full-performance point (>= 2 price steps, see
-            DESIGN.md).
+            the cheapest full-performance point (>= 2 price steps, paper
+            Section 5.1).
         utilization_ratio: Peak observed demand over current capacity
             on the binding CPU dimension.
         monthly_savings: Price delta current - recommended.

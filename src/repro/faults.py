@@ -14,8 +14,8 @@ Plans are consulted by the parent at tick-submission time (one
 consultation per ``(shard, tick)``, so a fault fires exactly once even
 when the tick is later replayed during recovery) and executed:
 
-* ``serial``/``thread`` backends simulate the failure in-process (the
-  shard object is discarded, or its executor abandoned);
+* the ``serial`` backend simulates the failure in-process (the shard
+  object is discarded);
 * the ``process`` backend ships the directive with the tick and the
   worker really dies (``os._exit``), sleeps, or swallows its reply --
   the parent-side supervision machinery sees exactly what a production

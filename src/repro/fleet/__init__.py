@@ -16,7 +16,6 @@ from .backends import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     WatchSupervisionStats,
     WorkerEvent,
     make_backend,
@@ -61,7 +60,6 @@ __all__ = [
     "BACKEND_NAMES",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "make_backend",
     "combine_cache_stats",

@@ -14,12 +14,11 @@ One execution substrate for both fleet protocols:
   :class:`~repro.streaming.live.LiveRecommender` state, and per-sample
   outcomes flow back in feed order.
 
-Three backends implement both protocols behind one interface:
-``serial`` (everything in the parent), ``thread`` (one single-thread
-executor per shard, so per-customer state stays confined), and
-``process`` (persistent worker processes with per-worker input queues
-and one shared result queue).  The contract every backend upholds is
-*serial identity*: the emitted result sequence -- including
+Two backends implement both protocols behind one interface:
+``serial`` (everything in the parent) and ``process`` (persistent
+worker processes with per-worker input queues and per-worker result
+pipes).  The contract the process backend upholds is *serial
+identity*: the emitted result sequence -- including
 per-customer failure containment and quarantine ordering -- is
 byte-identical to the serial backend's, because each customer's state
 lives on exactly one shard at a time, shards process their samples in
@@ -41,9 +40,9 @@ migrations, hot-customer pins or a pool resize at tick boundaries.
 Execution follows one protocol on every backend: drain all in-flight
 ticks, ``snapshot_state`` each moving customer on its source shard
 (releasing its watch-scoped curve-cache entries there), re-route on
-the ring, ``restore_state`` on the target shard.  The serial and
-thread backends move state as in-process bookkeeping; the process
-backend does the real handoff over its worker queues.  Because a
+the ring, ``restore_state`` on the target shard.  The serial backend
+moves state as in-process bookkeeping; the process backend does the
+real handoff over its worker queues.  Because a
 customer's samples are never in flight while its state moves and the
 reorder buffer works on global sequence numbers, the merged update
 stream stays byte-identical to the serial backend's across any
@@ -69,16 +68,14 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as queue_module
-import threading
 import time
 import traceback
 from abc import ABC, abstractmethod
 from collections import deque
-from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
+from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from multiprocessing.connection import wait as wait_for_connections
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal
 
 from ..catalog.models import DeploymentType
@@ -121,16 +118,15 @@ __all__ = [
     "ProcessBackend",
     "SerialBackend",
     "ShardAssessmentConfig",
-    "ThreadBackend",
     "WatchSupervisionStats",
     "WorkerEvent",
     "make_backend",
 ]
 
-FleetBackend = Literal["serial", "thread", "process"]
+FleetBackend = Literal["serial", "process"]
 
 #: Valid backend selectors, in documentation order.
-BACKEND_NAMES: tuple[str, ...] = ("serial", "thread", "process")
+BACKEND_NAMES: tuple[str, ...] = ("serial", "process")
 
 #: In-flight chunks per worker (batch protocol): enough to keep the
 #: pool busy without buffering the whole fleet's results in memory.
@@ -157,10 +153,6 @@ _WORKER_POLL_SECONDS = 1.0
 #: (graceful join, then ``terminate()``, then ``kill()``).  Module
 #: level so tests can shrink it and exercise the escalation quickly.
 _JOIN_TIMEOUT_S = 5.0
-
-
-class _InjectedKill(Exception):
-    """Raised inside a serial/thread shard task to simulate worker death."""
 
 
 class _WorkerFailure(RuntimeError):
@@ -252,14 +244,14 @@ class WatchSupervisionStats:
 class _PendingTick:
     """Reorder-buffer entry: one dispatched tick awaiting its shards.
 
-    Shared by all three pools so the supervisor can credit replayed
+    Shared by both pools so the supervisor can credit replayed
     results uniformly (:meth:`_WatchPool.fold`).  ``owing`` is the set
     of shards whose results are still outstanding; a shard not in it
     has already been credited, so late duplicates (a replaced worker's
     stale reply racing its replacement's replay) fold to nothing.
     """
 
-    __slots__ = ("tick_id", "owing", "emissions", "busy", "futures", "deadline")
+    __slots__ = ("tick_id", "owing", "emissions", "busy", "deadline")
 
     def __init__(
         self, tick_id: int, owing: "Iterable[int]", deadline: float | None = None
@@ -268,7 +260,6 @@ class _PendingTick:
         self.owing = set(owing)
         self.emissions: list = []
         self.busy: dict[int, float] = {}
-        self.futures: dict[int, Future] = {}
         self.deadline = deadline
 
 
@@ -285,26 +276,20 @@ class BatchJob:
         engine: The wrapped engine, shipped to process-pool
             initializers (workers rebuild private runners from it).
         cache_size: Curve-cache capacity per runner.
-        columnar: Whether shard bodies run the columnar batch kernel.
-        kernel: Violation-kernel selector installed in every worker
-            (``numpy``/``numba``/``auto``; see
-            :func:`repro.core.throttling.use_kernel`).
         zero_copy: Ship chunks through the shared-memory data plane
             (:mod:`repro.fleet.arena`) instead of pickling trace
             arrays.  Only the process backend reads this -- the serial
-            and thread backends already share the parent's memory.
+            backend already runs in the parent's memory.
     """
 
     task: str
     runner: object
     engine: "DopplerEngine"
     cache_size: int
-    columnar: bool
-    kernel: str = "numpy"
     zero_copy: bool = False
 
     def local_fn(self) -> Callable:
-        """The parent-side chunk body for serial/thread execution."""
+        """The parent-side chunk body for serial execution."""
         return getattr(self.runner, f"{self.task}_chunk")
 
 
@@ -1278,168 +1263,19 @@ class _InlinePool(_WatchPool):
         )
 
 
-class _ThreadShardPool(_WatchPool):
-    """One single-thread executor per shard, sharing the parent's memory.
-
-    Submission order per shard is execution order, so a shard's live
-    state is only ever touched by its own thread -- the same
-    confinement the process backend gets from per-worker queues,
-    without locks.  Migrations run as direct method calls at drained
-    boundaries, when no task can be running.
-
-    Injected faults simulate worker failure without real threads
-    dying: a ``kill`` raises :class:`_InjectedKill` before touching
-    the shard, a ``drop`` processes the batch and then parks on the
-    shard incarnation's release event (so the result is withheld until
-    a deadline notices, yet the thread exits promptly once the shard
-    is replaced or the pool closes -- a genuinely sleeping thread
-    would stall interpreter shutdown).  A thread cannot be torn down
-    mid-task, so replacing a shard abandons its executor and counts a
-    forced stop.
-    """
-
-    def __init__(self, config: ShardAssessmentConfig, n_shards: int) -> None:
-        super().__init__(config)
-        self._shards: dict[int, _WatchShard] = {}
-        self._executors: dict[int, ThreadPoolExecutor] = {}
-        self._release_events: dict[int, threading.Event] = {}
-        for shard_id in range(n_shards):
-            self.add_shard(shard_id)
-
-    @property
-    def n_shards(self) -> int:
-        return len(self._shards)
-
-    @staticmethod
-    def _run_shard(
-        shard: _WatchShard,
-        shard_id: int,
-        released: threading.Event,
-        batch: list,
-        directive: tuple | None,
-    ) -> tuple[list, float]:
-        # The shard object and release event are captured at submit
-        # time: a task outliving its replacement must keep mutating
-        # the abandoned incarnation, never the fresh one.
-        if directive is not None:
-            action = directive[0]
-            if action == "kill":
-                raise _InjectedKill(shard_id)
-            if action == "delay" and released.wait(timeout=directive[1]):
-                raise _InjectedKill(shard_id)  # replaced while delayed
-        emissions, seconds = shard.process(batch)
-        if directive is not None and directive[0] == "drop":
-            released.wait()
-            raise _InjectedKill(shard_id)
-        return emissions, seconds
-
-    def _do_submit(
-        self, tick_id: int, by_shard: dict[int, list], directives: dict[int, tuple]
-    ) -> None:
-        entry = _PendingTick(tick_id, by_shard, deadline=self._tick_deadline())
-        for shard_id, batch in by_shard.items():
-            entry.futures[shard_id] = self._executors[shard_id].submit(
-                self._run_shard,
-                self._shards[shard_id],
-                shard_id,
-                self._release_events[shard_id],
-                batch,
-                directives.get(shard_id),
-            )
-        self._pending.append(entry)
-
-    def drain_next(self) -> tuple[list, dict[int, float]]:
-        head = self._pending[0]
-        while head.owing:
-            shard_id = min(head.owing)
-            timeout = None
-            if head.deadline is not None:
-                timeout = max(0.0, head.deadline - time.monotonic())
-            try:
-                emissions, seconds = head.futures[shard_id].result(timeout=timeout)
-            except FuturesTimeoutError:
-                hung = sorted(
-                    owing for owing in head.owing if not head.futures[owing].done()
-                )
-                raise _WorkerFailure(
-                    hung or [shard_id], "deadline", "tick deadline expired"
-                ) from None
-            except _InjectedKill:
-                raise _WorkerFailure([shard_id], "killed", "injected fault") from None
-            self.fold(head.tick_id, shard_id, emissions, seconds)
-        entry = self._pending.popleft()
-        entry.emissions.sort(key=lambda pair: pair[0])
-        return entry.emissions, entry.busy
-
-    def snapshot_shard(
-        self, shard_id: int, customer_ids: list[str] | None = None
-    ) -> list[CustomerStateRecord]:
-        return self._shards[shard_id].snapshot_records(customer_ids)
-
-    def _do_extract(self, shard_id: int, customer_ids: list[str]) -> list:
-        return self._shards[shard_id].extract(customer_ids)
-
-    def _do_install(self, shard_id: int, records: list) -> None:
-        self._shards[shard_id].install(records)
-
-    def add_shard(self, shard_id: int) -> None:
-        self._shards[shard_id] = _WatchShard(self.config)
-        self._executors[shard_id] = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"fleet-watch-{shard_id}"
-        )
-        self._release_events[shard_id] = threading.Event()
-
-    def retire_shard(self, shard_id: int) -> None:
-        self._executors.pop(shard_id).shutdown(wait=True)
-        self._release_events.pop(shard_id).set()
-        self._retired_stats.append(self._shards.pop(shard_id).cache.stats())
-
-    def replace_shard(self, shard_id: int) -> None:
-        # Wake any parked injected-fault task so the abandoned thread
-        # exits, then walk away from the executor: its possibly still
-        # running task counts as a forced stop.
-        self._release_events[shard_id].set()
-        self.n_forced_stops += 1
-        self._executors[shard_id].shutdown(wait=False, cancel_futures=True)
-        self.add_shard(shard_id)
-
-    def replay_tick(
-        self, shard_id: int, tick_id: int, batch: list
-    ) -> tuple[list, float]:
-        future = self._executors[shard_id].submit(
-            self._shards[shard_id].process, batch
-        )
-        return future.result()
-
-    def stats(self) -> tuple[CurveCacheStats, ...]:
-        return tuple(self._retired_stats) + tuple(
-            self._shards[shard_id].cache.stats() for shard_id in sorted(self._shards)
-        )
-
-    def close(self) -> None:
-        for released in self._release_events.values():
-            released.set()
-        for executor in self._executors.values():
-            executor.shutdown(wait=False, cancel_futures=True)
-
-
 # ----------------------------------------------------------------------
 # Process-pool plumbing (module level so it pickles by reference).
 # ----------------------------------------------------------------------
 _WORKER_RUNNER = None
 
 
-def _init_batch_worker(
-    engine: "DopplerEngine", cache_size: int, columnar: bool, kernel: str = "numpy"
-) -> None:
+def _init_batch_worker(engine: "DopplerEngine", cache_size: int) -> None:
     """Pool initializer: one private runner (engine + cache) per worker."""
     global _WORKER_RUNNER
-    from ..core.throttling import use_kernel
     from .cache import CurveCache
     from .engine import _FleetRunner
 
-    use_kernel(kernel)  # per-process state; ``auto`` probes on first use
-    _WORKER_RUNNER = _FleetRunner(engine, CurveCache(cache_size), columnar)
+    _WORKER_RUNNER = _FleetRunner(engine, CurveCache(cache_size))
 
 
 def _fit_chunk_in_worker(chunk, exclude_over_provisioned: bool):
@@ -1468,7 +1304,7 @@ _STOP = None
 
 
 def _watch_worker_main(
-    worker_id: int, config: ShardAssessmentConfig, in_queue, out_queue
+    worker_id: int, config: ShardAssessmentConfig, in_queue, out_conn
 ) -> None:
     """Persistent streaming worker: owns one shard until retired.
 
@@ -1492,6 +1328,15 @@ def _watch_worker_main(
       cache_stats)`` on graceful stop, or ``("error", worker_id,
       details)`` on any failure the shard's per-customer containment
       did not absorb.
+
+    Replies go over ``out_conn``, the send end of a pipe only this
+    worker writes, synchronously from the main thread.  A worker that
+    dies (an injected ``kill``, or a real SIGKILL) therefore never
+    leaves a lock held or a half-written message where a peer would
+    trip over it: the parent reads its pipe to the end and then sees
+    EOF.  (A result queue shared by all workers would not survive
+    this: its feeder thread holds a cross-process write lock while it
+    sends, and a worker dying mid-send blocks every peer forever.)
 
     On the zero-copy plane, a tick frame whose slot generation no
     longer matches (the parent recycled the buffer under this worker
@@ -1517,7 +1362,7 @@ def _watch_worker_main(
         while True:
             message = in_queue.get()
             if message is _STOP:
-                out_queue.put(("stats", worker_id, shard.cache.stats()))
+                out_conn.send(("stats", worker_id, shard.cache.stats()))
                 return
             kind = message[0]
             if kind == "tick":
@@ -1537,7 +1382,7 @@ def _watch_worker_main(
                     reply = write_result_columns(frame, emissions, shipped)
                     if reply is not None:
                         emissions = reply
-                out_queue.put(("tick", worker_id, tick_id, emissions, busy_seconds))
+                out_conn.send(("tick", worker_id, tick_id, emissions, busy_seconds))
             elif kind == "extract":
                 _, request_id, customer_ids = message[:3]
                 payload = shard.extract(customer_ids)
@@ -1545,13 +1390,13 @@ def _watch_worker_main(
                     framed = pack_state_records(payload, message[3])
                     if framed is not None:
                         payload = framed
-                out_queue.put(("extracted", worker_id, request_id, payload))
+                out_conn.send(("extracted", worker_id, request_id, payload))
             elif kind == "install":
                 _, request_id, records = message
                 if isinstance(records, StateFrame):
                     records = adopt_state_frame(records)
                 shard.install(records)
-                out_queue.put(("installed", worker_id, request_id))
+                out_conn.send(("installed", worker_id, request_id))
             elif kind == "snapshot":
                 _, request_id, customer_ids = message[:3]
                 payload = shard.snapshot_records(customer_ids)
@@ -1559,17 +1404,20 @@ def _watch_worker_main(
                     framed = pack_state_records(payload, message[3])
                     if framed is not None:
                         payload = framed
-                out_queue.put(("snapshotted", worker_id, request_id, payload))
+                out_conn.send(("snapshotted", worker_id, request_id, payload))
             else:
                 raise RuntimeError(f"unknown watch message kind {kind!r}")
     except BaseException as exc:  # noqa: BLE001 - parent must see worker death
-        out_queue.put(
-            (
-                "error",
-                worker_id,
-                f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}",
+        try:
+            out_conn.send(
+                (
+                    "error",
+                    worker_id,
+                    f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}",
+                )
             )
-        )
+        except OSError:
+            pass  # replaced or closed pool: nobody is listening any more
 
 
 class _ProcessShardPool(_WatchPool):
@@ -1578,8 +1426,8 @@ class _ProcessShardPool(_WatchPool):
     Sticky routing needs *dedicated* per-worker queues, which executor
     pools cannot promise, so each shard is one long-lived
     :mod:`multiprocessing` process fed through its own input queue;
-    emissions return over one shared result queue and the parent
-    reorders them into feed order.  Migration records (picklable
+    emissions return over its own result pipe and the parent reorders
+    them into feed order.  Migration records (picklable
     ``LiveAssessmentState`` snapshots) travel the same queues via the
     extract/install handshakes; pool growth spawns a fresh worker and
     shrink runs the stop/stats handshake on the retiring one.
@@ -1590,8 +1438,9 @@ class _ProcessShardPool(_WatchPool):
     def __init__(self, config: ShardAssessmentConfig, n_shards: int) -> None:
         super().__init__(config)
         self._context = multiprocessing.get_context()
-        self._out_queue = self._context.Queue()
         self._workers: dict[int, object] = {}
+        # Receive end of each live worker's result pipe, by shard.
+        self._results: dict[int, object] = {}
         self._in_queues: dict[int, object] = {}
         self._closed_queues: list = []
         self._final_stats: list[CurveCacheStats] = []
@@ -1642,7 +1491,7 @@ class _ProcessShardPool(_WatchPool):
         result slot only after the prior same-parity tick drained, and
         quarantine settles owed ticks before respawning a worker), so
         the read is race-free.  A frame that is *not* owed is a
-        replaced incarnation's stale duplicate: skipped undecoded
+        duplicate of an already credited reply: skipped undecoded
         (returns None), exactly as ``fold`` would have discarded it.
         """
         if not isinstance(payload, ResultFrame):
@@ -1674,7 +1523,9 @@ class _ProcessShardPool(_WatchPool):
         a crash while the parent waits on its peers.  With a
         ``deadline``, expiry raises a :class:`_WorkerFailure` naming
         ``deadline_shards`` (default: everything awaited) instead of
-        blocking forever on a hung worker.
+        blocking forever on a hung worker.  A worker is dead once its
+        result pipe has been read to EOF, so replies it sent before
+        dying are still delivered first.
         """
         while True:
             timeout = _WORKER_POLL_SECONDS
@@ -1687,19 +1538,23 @@ class _ProcessShardPool(_WatchPool):
                         "tick deadline expired",
                     )
                 timeout = min(timeout, remaining)
-            try:
-                return self._out_queue.get(timeout=timeout)
-            except queue_module.Empty:
-                dead = [
-                    shard_id
-                    for shard_id in sorted(awaiting)
-                    if shard_id in self._workers and not self._workers[shard_id].is_alive()
-                ]
-                if dead:
-                    names = ", ".join(self._workers[shard_id].name for shard_id in dead)
-                    raise _WorkerFailure(
-                        dead, "death", f"{names} died without reporting a result"
-                    ) from None
+            by_conn = {conn: shard_id for shard_id, conn in self._results.items()}
+            for conn in wait_for_connections(list(by_conn), timeout):
+                try:
+                    return conn.recv()
+                except (EOFError, OSError):
+                    self._results.pop(by_conn[conn]).close()
+            dead = [
+                shard_id
+                for shard_id in sorted(awaiting)
+                if shard_id in self._workers
+                and (shard_id not in self._results or not self._workers[shard_id].is_alive())
+            ]
+            if dead:
+                names = ", ".join(self._workers[shard_id].name for shard_id in dead)
+                raise _WorkerFailure(
+                    dead, "death", f"{names} died without reporting a result"
+                )
 
     def drain_next(self) -> tuple[list, dict[int, float]]:
         head = self._pending[0]
@@ -1718,8 +1573,8 @@ class _ProcessShardPool(_WatchPool):
                     f"{kind!r} while ticks were in flight"
                 )
             _, shard_id, tick_id, emissions, busy_seconds = message
-            # A miss is a replaced worker's stale reply (its
-            # replacement already replayed the tick); drop it.
+            # A miss is a duplicate of a reply already credited
+            # (a recovery replayed the tick); drop it.
             emissions = self._reply_emissions(shard_id, tick_id, emissions)
             if emissions is None:
                 continue
@@ -1731,10 +1586,10 @@ class _ProcessShardPool(_WatchPool):
     def _await_reply(self, kind: str, shard_id: int, request_id: int) -> tuple:
         """Wait for one handshake reply at a drained boundary.
 
-        Stale tick replies from a worker incarnation replaced during
-        recovery may still surface here; they fold to nothing (the
-        reorder buffer is empty at a drained boundary) and the wait
-        continues.
+        Tick replies that surface here are credited if still owed and
+        otherwise fold to nothing; the wait continues.  (A replaced
+        incarnation's replies never arrive: its result pipe is closed
+        with it.)
         """
         while True:
             message = self._receive({shard_id})
@@ -1808,15 +1663,26 @@ class _ProcessShardPool(_WatchPool):
 
     def add_shard(self, shard_id: int) -> None:
         in_queue = self._context.Queue()
+        receiver, sender = self._context.Pipe(duplex=False)
         worker = self._context.Process(
             target=_watch_worker_main,
-            args=(shard_id, self.config, in_queue, self._out_queue),
+            args=(shard_id, self.config, in_queue, sender),
             daemon=True,
             name=f"fleet-watch-{shard_id}",
         )
         self._in_queues[shard_id] = in_queue
         self._workers[shard_id] = worker
+        self._results[shard_id] = receiver
         worker.start()
+        # The worker now holds the only send end, so its exit is the
+        # EOF that ``_receive`` reads as death.
+        sender.close()
+
+    def _drop_results(self, shard_id: int) -> None:
+        """Close a shard's result pipe; unread replies are discarded."""
+        receiver = self._results.pop(shard_id, None)
+        if receiver is not None:
+            receiver.close()
 
     def _reap(self, worker) -> None:
         """Join with escalation: a worker may never block teardown.
@@ -1850,6 +1716,7 @@ class _ProcessShardPool(_WatchPool):
             )
         self._retired_stats.append(message[2])
         self._reap(self._workers.pop(shard_id))
+        self._drop_results(shard_id)
         queue = self._in_queues.pop(shard_id)
         self._closed_queues.append(queue)
         if self._plane is not None:
@@ -1870,6 +1737,9 @@ class _ProcessShardPool(_WatchPool):
             # May still hold undelivered messages; park it for close()
             # rather than risking a feeder-thread deadlock here.
             self._closed_queues.append(old_queue)
+        # Replies of the old incarnation are never needed: recovery
+        # replays its ticks on the replacement.
+        self._drop_results(shard_id)
         self.add_shard(shard_id)
 
     def replay_tick(
@@ -1892,19 +1762,18 @@ class _ProcessShardPool(_WatchPool):
             _, msg_shard, msg_tick, emissions, busy_seconds = message
             if msg_shard == shard_id and msg_tick == tick_id:
                 if isinstance(emissions, ResultFrame):
-                    # A stale columns reply from the dead incarnation
-                    # matching the replay target: decode it if its
-                    # slot is intact (no one writes result slots
-                    # during a replay, and assessment is
-                    # deterministic, so the bytes equal what the
-                    # replay will produce); keep waiting otherwise.
+                    # The replay's columns reply: the tick may have
+                    # been credited before the failure, so decode it
+                    # directly rather than through the owed check
+                    # (no one else writes result slots during a
+                    # replay); keep waiting if the slot is not intact.
                     decoded = self._plane.read_results(emissions)
                     if decoded is None:
                         continue
                     emissions = decoded
                 return emissions, busy_seconds
-            # In-flight result from a healthy peer (or a stale reply
-            # from the dead incarnation): credit it and keep waiting.
+            # In-flight result from a healthy peer: credit it and keep
+            # waiting.
             emissions = self._reply_emissions(msg_shard, msg_tick, emissions)
             if emissions is not None:
                 self.fold(msg_tick, msg_shard, emissions, busy_seconds)
@@ -1937,9 +1806,11 @@ class _ProcessShardPool(_WatchPool):
     def close(self) -> None:
         for worker in self._workers.values():
             self._reap(worker)
-        for queue in (*self._in_queues.values(), *self._closed_queues, self._out_queue):
+        for queue in (*self._in_queues.values(), *self._closed_queues):
             queue.close()
             queue.cancel_join_thread()
+        for shard_id in list(self._results):
+            self._drop_results(shard_id)
         if self._plane is not None:
             # Workers only ever attach to plane segments, so tearing
             # the plane down after the reap leaves /dev/shm clean even
@@ -2331,53 +2202,6 @@ class ExecutionBackend(ABC):
     def map_chunks(self, job: BatchJob, chunks: Iterator[list], *extra) -> Iterator[list]:
         """Run ``job`` over every shard, yielding results in order."""
 
-    def _pump(
-        self,
-        executor: Executor,
-        fn: Callable,
-        chunks: Iterator[list],
-        extra: tuple,
-        publisher: "ChunkPublisher | None" = None,
-    ) -> Iterator[list]:
-        """Submission-ordered streaming with a bounded in-flight window.
-
-        With a ``publisher`` attached (process backend, zero-copy
-        plane) each chunk is packed into shared memory at submission
-        -- the bounded window therefore also bounds live segments --
-        and its segments are released as its result is yielded.  The
-        ``finally`` force-closes whatever is still published, so a
-        broken pool, a raising chunk or an abandoned stream all leave
-        ``/dev/shm`` clean.
-        """
-        max_inflight = self.n_workers * INFLIGHT_PER_WORKER
-        pending: deque[tuple[Future, object]] = deque()
-
-        def submit(chunk) -> None:
-            payload, token = (chunk, None) if publisher is None else publisher.pack(chunk)
-            pending.append((executor.submit(fn, payload, *extra), token))
-
-        def settle() -> list:
-            future, token = pending.popleft()
-            result = future.result()
-            if publisher is not None:
-                publisher.release(token)
-            return result
-
-        try:
-            for chunk in chunks:
-                submit(chunk)
-                if len(pending) >= max_inflight:
-                    yield settle()
-            while pending:
-                yield settle()
-        finally:
-            # Abandoned stream (consumer broke out early) or failure:
-            # drop queued chunks instead of draining the whole in-flight
-            # window; running chunks finish, their results are discarded.
-            executor.shutdown(wait=False, cancel_futures=True)
-            if publisher is not None:
-                publisher.close()
-
     # ------------------------------------------------------------------
     # Streaming protocol
     # ------------------------------------------------------------------
@@ -2643,26 +2467,6 @@ class SerialBackend(ExecutionBackend):
         return _InlinePool(config, self.n_workers)
 
 
-class ThreadBackend(ExecutionBackend):
-    """Thread pools sharing the parent's memory.
-
-    Batch chunks run on one shared pool against the parent runner (one
-    shared curve cache).  Streaming shards each get a dedicated
-    single-thread executor (see :class:`_ThreadShardPool`).
-    """
-
-    name = "thread"
-
-    def map_chunks(self, job: BatchJob, chunks: Iterator[list], *extra) -> Iterator[list]:
-        executor = ThreadPoolExecutor(
-            max_workers=self.n_workers, thread_name_prefix="fleet"
-        )
-        yield from self._pump(executor, job.local_fn(), chunks, extra)
-
-    def _make_watch_pool(self, config: ShardAssessmentConfig) -> _WatchPool:
-        return _ThreadShardPool(config, self.n_workers)
-
-
 class ProcessBackend(ExecutionBackend):
     """Fork-per-worker pools; state never crosses process boundaries.
 
@@ -2682,17 +2486,52 @@ class ProcessBackend(ExecutionBackend):
     name = "process"
 
     def map_chunks(self, job: BatchJob, chunks: Iterator[list], *extra) -> Iterator[list]:
+        """Submission-ordered streaming with a bounded in-flight window.
+
+        With ``job.zero_copy`` set each chunk is packed into shared
+        memory at submission -- the bounded window therefore also
+        bounds live segments -- and its segments are released as its
+        result is yielded.  The ``finally`` force-closes whatever is
+        still published, so a broken pool, a raising chunk or an
+        abandoned stream all leave ``/dev/shm`` clean.
+        """
         executor = ProcessPoolExecutor(
             max_workers=self.n_workers,
             initializer=_init_batch_worker,
-            initargs=(job.engine, job.cache_size, job.columnar, job.kernel),
+            initargs=(job.engine, job.cache_size),
         )
         publisher = (
             ChunkPublisher(job.engine.ppm, job.task) if job.zero_copy else None
         )
-        yield from self._pump(
-            executor, _BATCH_WORKER_FNS[job.task], chunks, extra, publisher
-        )
+        fn = _BATCH_WORKER_FNS[job.task]
+        max_inflight = self.n_workers * INFLIGHT_PER_WORKER
+        pending: deque[tuple[Future, object]] = deque()
+
+        def submit(chunk) -> None:
+            payload, token = (chunk, None) if publisher is None else publisher.pack(chunk)
+            pending.append((executor.submit(fn, payload, *extra), token))
+
+        def settle() -> list:
+            future, token = pending.popleft()
+            result = future.result()
+            if publisher is not None:
+                publisher.release(token)
+            return result
+
+        try:
+            for chunk in chunks:
+                submit(chunk)
+                if len(pending) >= max_inflight:
+                    yield settle()
+            while pending:
+                yield settle()
+        finally:
+            # Abandoned stream (consumer broke out early) or failure:
+            # drop queued chunks instead of draining the whole in-flight
+            # window; running chunks finish, their results are discarded.
+            executor.shutdown(wait=False, cancel_futures=True)
+            if publisher is not None:
+                publisher.close()
 
     def _make_watch_pool(self, config: ShardAssessmentConfig) -> _WatchPool:
         return _ProcessShardPool(config, self.n_workers)
@@ -2700,7 +2539,6 @@ class ProcessBackend(ExecutionBackend):
 
 _BACKENDS: dict[str, type[ExecutionBackend]] = {
     "serial": SerialBackend,
-    "thread": ThreadBackend,
     "process": ProcessBackend,
 }
 

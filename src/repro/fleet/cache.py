@@ -117,7 +117,8 @@ class CurveCacheStats:
         evictions: Entries dropped to respect ``maxsize``.
         size: Entries currently held.
         duplicate_builds: Misses that rebuilt a key another thread was
-            already building (the thread backend's accepted race).
+            already building (the accepted race between concurrent
+            callers, e.g. a serving executor and the caller's thread).
             ``misses - duplicate_builds`` is the number of genuinely
             distinct curve constructions, so fleet hit-rate reports
             stay truthful under concurrency.
@@ -171,9 +172,9 @@ def combine_cache_stats(stats: Iterable[CurveCacheStats]) -> CurveCacheStats:
 class CurveCache:
     """Bounded, thread-safe LRU cache of price-performance curves.
 
-    One instance is shared across a fleet pass (serial and thread
-    backends share the parent's cache; each process-pool worker builds
-    its own, since curves do not cross process boundaries cheaply).
+    One instance is shared across a fleet pass (the serial backend
+    uses the parent's cache; each process-pool worker builds its own,
+    since curves do not cross process boundaries cheaply).
     """
 
     def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE) -> None:
@@ -237,7 +238,7 @@ class CurveCache:
             self._building.pop(key, None)
 
     # ------------------------------------------------------------------
-    # Batch protocol (columnar fleet path)
+    # Batch protocol (fleet chunks)
     # ------------------------------------------------------------------
     def get_many(self, keys: Iterable[Hashable]) -> dict[Hashable, PricePerformanceCurve]:
         """Probe a batch of keys in one locked pass.
@@ -248,8 +249,8 @@ class CurveCache:
         via :meth:`adjust_counters` once the build outcome is known
         (a sequential :meth:`get_or_build` loop counts them hits
         after a successful install but fresh misses after a failed
-        build, and hit-rate parity between the columnar and
-        per-customer paths requires the same distinction).  Each
+        build, and hit-rate parity with that loop requires the same
+        distinction).  Each
         distinct missed key is marked in-flight and MUST be settled
         by exactly one subsequent :meth:`install_many` (curve built)
         or :meth:`release_many` (build failed/abandoned) call, or the
@@ -289,8 +290,8 @@ class CurveCache:
         occurrences of batch-missed keys become hits when their one
         build succeeded (the batch served them from it) and misses
         when it failed (a sequential loop would have re-missed and
-        re-failed), keeping :class:`CurveCacheStats` identical across
-        the columnar and per-customer paths.
+        re-failed), keeping :class:`CurveCacheStats` identical to a
+        sequential :meth:`get_or_build` loop's.
         """
         with self._lock:
             self._hits += hits

@@ -228,10 +228,10 @@ class WatchConfig:
             (:mod:`repro.fleet.arena`) instead of pickling them across
             worker queues.  ``None`` (the default) auto-enables on the
             process backend -- the only backend with a process
-            boundary to cross -- and stays off elsewhere; serial and
-            thread backends ignore the flag (they share an address
-            space already).  Output is byte-identical either way; this
-            is purely a data-plane choice.
+            boundary to cross; the serial backend ignores the flag
+            (it runs in the parent's address space).  Output is
+            byte-identical either way; this is purely a data-plane
+            choice.
     """
 
     window: int = DEFAULT_STREAM_WINDOW

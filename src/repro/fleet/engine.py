@@ -3,8 +3,8 @@
 Scales the single-workload :class:`~repro.core.engine.DopplerEngine`
 to whole customer populations: thousands of traces go in, one batched
 pass shards them into chunks, fans the chunks over a pluggable
-execution backend (:mod:`repro.fleet.backends`: serial, thread pool
-or process pool), memoizes price-performance curve construction
+execution backend (:mod:`repro.fleet.backends`: serial or process
+pool), memoizes price-performance curve construction
 behind an LRU cache, and streams per-customer results back as an
 iterator so peak memory stays flat in the fleet size.  The streaming
 pass (:meth:`FleetEngine.watch_fleet`) rides the same backends:
@@ -12,10 +12,11 @@ customers' live state shards across stateful workers with sticky
 routing by customer id.
 
 Determinism contract: a fleet pass is a pure function of the fitted
-engine and the input traces (or the feed, for a watch).  The parallel
-backends preserve submission/feed order and use no randomness, so
-their results are bit-identical to the serial backend's -- the
-property the scale benchmarks assert.
+engine and the input traces (or the feed, for a watch).  The process
+backend preserves submission/feed order and uses no randomness, so
+its results are bit-identical to the serial backend's, and both equal
+a plain :class:`~repro.core.engine.DopplerEngine` loop over the same
+customers -- the property the scale benchmarks assert.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from ..catalog.models import DeploymentType
 from ..core.engine import DopplerEngine
 from ..core.matching import GroupObservation, GroupScoreModel
 from ..core.profiler import GroupKey
-from ..core.throttling import KERNEL_KINDS, numba_available, use_kernel
 from ..core.types import CloudCustomerRecord, DopplerRecommendation
 from ..telemetry.counters import PerfDimension
 from ..telemetry.trace import PerformanceTrace
@@ -217,42 +217,24 @@ class FleetFitReport:
 class _FleetRunner:
     """Per-process execution state: the engine plus its curve cache.
 
-    The serial and thread backends share one runner (and therefore one
-    cache) in the parent; the process backend constructs one runner
-    per worker in the pool initializer, since curves are cheaper to
-    rebuild than to ship across process boundaries.
+    The serial backend runs one runner (and therefore one cache) in
+    the parent; the process backend constructs one runner per worker
+    in the pool initializer, since curves are cheaper to rebuild than
+    to ship across process boundaries.
 
-    With ``columnar`` enabled (the default) each shard runs through
-    the batch curve kernel: one cache key-batch probe, one
-    per-deployment capacity matrix, stacked chunked broadcasts for
-    every cache-missing customer
+    Each shard runs through the batch curve kernel: one cache
+    key-batch probe, one per-deployment capacity matrix, stacked
+    chunked broadcasts for every cache-missing customer
     (:meth:`~repro.core.ppm.PricePerformanceModeler.build_curves_batch`).
-    Results are byte-identical to the per-customer path -- the
-    property the fleet-scale benchmark asserts.
+    Results are byte-identical to a :class:`DopplerEngine` loop over
+    the same customers -- the property the fleet-scale benchmark
+    asserts.
     """
 
-    def __init__(
-        self, engine: DopplerEngine, cache: CurveCache, columnar: bool = True
-    ) -> None:
+    def __init__(self, engine: DopplerEngine, cache: CurveCache) -> None:
         self.engine = engine
         self.cache = cache
-        self.columnar = columnar
         self._catalog_signature = catalog_signature(engine.catalog)
-
-    def build_curve(
-        self,
-        trace: PerformanceTrace,
-        deployment: DeploymentType,
-        file_sizes_gib: tuple[float, ...] | None = None,
-    ):
-        key = curve_cache_key(
-            trace, deployment.value, file_sizes_gib, self._catalog_signature
-        )
-        sizes = list(file_sizes_gib) if file_sizes_gib else None
-        return self.cache.get_or_build(
-            key,
-            lambda: self.engine.ppm.build_curve(trace, deployment, file_sizes_gib=sizes),
-        )
 
     def build_curves(
         self,
@@ -325,9 +307,9 @@ class _FleetRunner:
     ) -> tuple[list[tuple[str, GroupKey, float]], int]:
         """Training observations for one shard of records.
 
-        Delegates the per-record protocol to
-        :meth:`DopplerEngine.training_observation` (with a memoized
-        curve), with one deviation: a record whose curve cannot be
+        Follows the per-record protocol of
+        :meth:`DopplerEngine.training_observation` (with memoized
+        curves), with one deviation: a record whose curve cannot be
         built (storage misfit) is skipped and counted instead of
         raising -- at fleet scale one pathological record must not
         abort the whole training pass.  Returns
@@ -336,29 +318,6 @@ class _FleetRunner:
         skipped-record count.
         """
         settled = [record for record in chunk if record.is_settled]
-        if not self.columnar:
-            observations: list[tuple[str, GroupKey, float]] = []
-            n_unbuildable = 0
-            for record in settled:
-                try:
-                    curve = self.build_curve(record.trace, record.deployment)
-                except ValueError:
-                    n_unbuildable += 1
-                    continue  # no SKU fits the workload; nothing to learn
-                observation = self.engine.training_observation(
-                    record,
-                    exclude_over_provisioned=exclude_over_provisioned,
-                    curve=curve,
-                )
-                if observation is not None:
-                    observations.append(
-                        (
-                            record.deployment.value,
-                            observation.group_key,
-                            observation.throttling_probability,
-                        )
-                    )
-            return observations, n_unbuildable
         curves = self.build_curves(
             [(record.trace, record.deployment, None) for record in settled]
         )
@@ -368,7 +327,7 @@ class _FleetRunner:
         # the expensive profiling of the survivors to one batched
         # summarizer pass per deployment.  Observation order equals
         # the per-record loop's, so the downstream group-score fit is
-        # byte-identical.
+        # byte-identical to DopplerEngine.fit's.
         n_unbuildable = 0
         survivors: list[tuple[CloudCustomerRecord, object]] = []
         for record, curve in zip(settled, curves):
@@ -376,7 +335,7 @@ class _FleetRunner:
                 n_unbuildable += 1
                 continue  # no SKU fits the workload; nothing to learn
             if isinstance(curve, Exception):
-                raise curve  # same propagation as the per-record path
+                raise curve  # same propagation as DopplerEngine.fit
             try:
                 point = curve.point_for(record.chosen_sku_name)
             except KeyError:
@@ -417,8 +376,6 @@ class _FleetRunner:
         return profiles
 
     def recommend_chunk(self, chunk: list[FleetCustomer]) -> list[FleetRecommendation]:
-        if not self.columnar:
-            return [self.recommend_one(customer) for customer in chunk]
         curves = self.build_curves(
             [
                 (customer.trace, customer.deployment, customer.file_sizes_gib)
@@ -430,24 +387,14 @@ class _FleetRunner:
             for customer, curve in zip(chunk, curves)
         ]
 
-    def recommend_one(self, customer: FleetCustomer) -> FleetRecommendation:
-        try:
-            curve = self.build_curve(
-                customer.trace, customer.deployment, customer.file_sizes_gib
-            )
-        except Exception as exc:  # noqa: BLE001 - one bad trace must not kill the fleet
-            curve = exc
-        return self._finish_recommendation(customer, curve)
-
     def _finish_recommendation(
         self, customer: FleetCustomer, curve
     ) -> FleetRecommendation:
         """Selection + right-sizing on a built curve (or stored failure).
 
-        Shared tail of the columnar and per-customer paths, so both
-        produce identical result bytes -- including the
-        ``TypeName: message`` error formatting of the containment
-        contract.
+        A curve-build failure is re-raised here so it surfaces with the
+        same ``TypeName: message`` error formatting as a selection
+        failure -- the containment contract.
         """
         try:
             if isinstance(curve, Exception):
@@ -488,32 +435,18 @@ class FleetEngine:
         engine: The wrapped single-workload engine; fleet fitting
             installs group models into it, so it stays usable for
             one-off assessments afterwards.
-        backend: ``serial`` (in-process), ``thread`` (shared-cache
-            thread pool) or ``process`` (fork-per-worker pool; each
-            worker keeps a private curve cache).
+        backend: ``serial`` (in-process) or ``process``
+            (fork-per-worker pool; each worker keeps a private curve
+            cache).
         max_workers: Pool size; defaults to the machine's CPU count.
         chunk_size: Customers per shard; defaults to an automatic size
             giving each worker several shards.
         cache_size: LRU capacity of each curve cache.
-        columnar: Drive every shard through the columnar batch kernel
-            (one capacity-matrix build and one cache key-batch per
-            chunk) instead of the per-customer loop.  Results are
-            byte-identical either way; the flag exists so benchmarks
-            and regression tests can compare the two paths.
-        kernel: Violation-kernel selector (``"numpy"``, ``"numba"`` or
-            ``"auto"``).  ``auto`` -- the default -- runs a one-shot
-            measured fit-probe per process (parent and every pool
-            worker decide for themselves) and falls back to numpy
-            cleanly when numba is absent; ``"numba"`` raises at
-            construction when the optional dependency is missing.
-            Counts are byte-identical on either kernel, so this is
-            purely a speed knob.
         zero_copy: Ship process-backend chunks through the
             shared-memory data plane (:mod:`repro.fleet.arena`)
             instead of pickling trace arrays across worker queues.
-            Ignored by the serial and thread backends, which already
-            share the parent's memory.  Results are byte-identical
-            either way.
+            Ignored by the serial backend, which runs in the parent's
+            memory.  Results are byte-identical either way.
     """
 
     engine: DopplerEngine
@@ -521,26 +454,11 @@ class FleetEngine:
     max_workers: int | None = None
     chunk_size: int | None = None
     cache_size: int = DEFAULT_CACHE_SIZE
-    columnar: bool = True
-    kernel: str = "auto"
     zero_copy: bool = True
 
     def __post_init__(self) -> None:
         make_backend(self.backend, self.max_workers)  # validate both up front
-        # Validate the kernel selection eagerly (same contract as the
-        # backend name) without touching the process-global selector --
-        # that only moves when a pass actually runs.
-        if self.kernel not in KERNEL_KINDS:
-            raise ValueError(
-                f"unknown violation kernel {self.kernel!r}; choose one of "
-                + ", ".join(repr(option) for option in KERNEL_KINDS)
-            )
-        if self.kernel == "numba" and not numba_available():
-            raise ValueError(
-                "violation kernel 'numba' requested but numba is not installed; "
-                "install the repro[numba] extra or use kernel='auto'"
-            )
-        self._runner = _FleetRunner(self.engine, CurveCache(self.cache_size), self.columnar)
+        self._runner = _FleetRunner(self.engine, CurveCache(self.cache_size))
         self._last_watch_stats: tuple[CurveCacheStats, ...] | None = None
         self._last_rebalance_stats: WatchRebalanceStats | None = None
         self._last_supervision_stats: WatchSupervisionStats | None = None
@@ -635,7 +553,6 @@ class FleetEngine:
         to :meth:`recommend_fleet` over the same customers (both end
         in the same ``_finish_recommendation`` tail).
         """
-        use_kernel(self.kernel)
         return self._runner.recommend_chunk(list(customers))
 
     def summary_report(self, customers: Iterable[FleetCustomer]) -> FleetSummary:
@@ -740,7 +657,7 @@ class FleetEngine:
         )
         # zero_copy=None auto-resolves per backend: only the process
         # backend has a process boundary the shared-memory tick plane
-        # can short-circuit; serial/thread share an address space.
+        # can short-circuit; the serial backend runs in the parent.
         zero_copy = config.zero_copy
         if zero_copy is None:
             zero_copy = isinstance(backend_obj, ProcessBackend)
@@ -845,7 +762,7 @@ class FleetEngine:
             self._last_supervision_stats = backend_obj.watch_supervision_stats()
 
     def cache_stats(self) -> CurveCacheStats:
-        """Parent-side curve-cache counters (serial/thread backends).
+        """Parent-side curve-cache counters (serial backend).
 
         Process-pool workers keep private caches whose counters die
         with the pool, so under ``backend="process"`` this reflects
@@ -910,18 +827,11 @@ class FleetEngine:
         # as the process-scaling baseline.
         name = self.backend if self._effective_workers() > 1 else "serial"
         backend_obj = make_backend(name, self.max_workers)
-        # Install the kernel selection in this process too: the serial
-        # and thread backends run chunk bodies right here, and even a
-        # process pass builds parent-side curves (cache misses during
-        # result handling).  Pool workers select in their initializer.
-        use_kernel(self.kernel)
         job = BatchJob(
             task=task,
             runner=self._runner,
             engine=self.engine,
             cache_size=self.cache_size,
-            columnar=self.columnar,
-            kernel=self.kernel,
             zero_copy=self.zero_copy,
         )
         return backend_obj.map_chunks(job, chunks, *extra)

@@ -27,8 +27,7 @@ def resolve_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     """Normalize a seed or generator into a :class:`numpy.random.Generator`.
 
     Every stochastic entry point in the library funnels through this
-    helper so all randomness is explicitly seedable (DESIGN.md
-    "Determinism").
+    helper so all randomness is explicitly seedable.
     """
     if isinstance(seed, np.random.Generator):
         return seed

@@ -3,8 +3,6 @@
 Synthesizes the proprietary datasets of paper Section 5: migrated
 cloud fleets with expert-chosen SKUs (back-testing ground truth),
 SKU-change customers, on-prem estates and the DMA adoption stream.
-See DESIGN.md section 2 for why each substitution preserves the
-behaviour under test.
 """
 
 from .adoption import (

@@ -13,6 +13,9 @@ from repro.catalog import (
     SkuCatalog,
     SkuSpec,
 )
+from repro.core import DopplerEngine
+from repro.core.matching import GroupScoreModel
+from repro.fleet import FleetRecommendation
 from repro.telemetry import PerfDimension, PerformanceTrace, TimeSeries
 from repro.workloads import (
     DiurnalPattern,
@@ -124,6 +127,84 @@ def full_trace(
         },
         entity_id=entity_id,
     )
+
+
+def doppler_recommend_loop(engine: DopplerEngine, customers) -> list[FleetRecommendation]:
+    """The single-customer reference a fleet recommendation pass must equal.
+
+    One :meth:`DopplerEngine.recommend` call per customer, with the
+    fleet's containment contract: a failure becomes an error result
+    carrying ``TypeName: message`` instead of an exception.
+    """
+    results = []
+    for customer in customers:
+        sizes = list(customer.file_sizes_gib) if customer.file_sizes_gib else None
+        try:
+            recommendation = engine.recommend(
+                customer.trace, customer.deployment, file_sizes_gib=sizes
+            )
+        except Exception as exc:  # noqa: BLE001 - contained like the fleet does
+            results.append(
+                FleetRecommendation(
+                    customer_id=customer.customer_id,
+                    recommendation=None,
+                    error=f"{type(exc).__name__}: {exc}",
+                )
+            )
+            continue
+        over = None
+        if customer.current_sku_name is not None:
+            over = DopplerEngine.is_over_provisioned_on(
+                recommendation.curve, customer.current_sku_name
+            )
+        results.append(
+            FleetRecommendation(
+                customer_id=customer.customer_id,
+                recommendation=recommendation,
+                over_provisioned=over,
+            )
+        )
+    return results
+
+
+def watch_backend(name: str) -> dict:
+    """``WatchConfig`` fields for one backend variant of a parametrized test.
+
+    ``"process-pickled"`` is the process backend with the zero-copy
+    plane off, so tick batches, replies and migration records cross the
+    worker queues pickled; any other name is a backend as it stands.
+    """
+    if name == "process-pickled":
+        return {"backend": "process", "zero_copy": False}
+    return {"backend": name}
+
+
+def doppler_fit_loop(
+    engine: DopplerEngine, records, exclude_over_provisioned: bool = True
+) -> int:
+    """The single-customer reference a fleet training pass must equal.
+
+    :meth:`DopplerEngine.training_observation` per record, grouped and
+    installed exactly as :meth:`DopplerEngine.fit` does, except that a
+    record whose curve cannot be built is skipped and counted (the
+    fleet's one documented deviation).  Returns the skipped count.
+    """
+    observations: dict[DeploymentType, list] = {d: [] for d in DeploymentType}
+    n_unbuildable = 0
+    for record in records:
+        try:
+            observation = engine.training_observation(
+                record, exclude_over_provisioned=exclude_over_provisioned
+            )
+        except ValueError:
+            n_unbuildable += 1
+            continue
+        if observation is not None:
+            observations[record.deployment].append(observation)
+    for deployment, group_observations in observations.items():
+        if group_observations:
+            engine.install_group_model(deployment, GroupScoreModel.fit(group_observations))
+    return n_unbuildable
 
 
 @pytest.fixture()

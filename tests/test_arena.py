@@ -1,14 +1,12 @@
-"""Shared-memory data plane and compiled violation kernel.
+"""Shared-memory data plane.
 
-Two contracts under test.  First, the arena lifecycle
+The contract under test is the arena lifecycle
 (:mod:`repro.fleet.arena`): every segment the parent publishes is
 unlinked exactly once -- on normal drain, on an abandoned stream, and
 after a SIGKILL'd worker -- so ``/dev/shm`` ends every pass exactly as
-it started.  Second, kernel neutrality (:mod:`repro.core.throttling`):
-``kernel="numpy"``, ``"numba"`` and ``"auto"`` are speed decisions
-only; violation counts, and every recommendation derived from them,
-are byte-identical across kernels, with ``"auto"`` falling back to
-numpy cleanly when numba is not installed.
+it started, and zero-copy results stay byte-identical to serial.  The
+violation kernel the plane feeds is checked against a scalar reference
+count and, end to end, against single-customer ``DopplerEngine``.
 """
 
 from __future__ import annotations
@@ -23,15 +21,7 @@ import pytest
 
 from repro.catalog import DeploymentType, SkuCatalog
 from repro.core import DopplerEngine
-from repro.core import throttling
-from repro.core.throttling import (
-    KERNEL_KINDS,
-    batch_violation_counts,
-    numba_available,
-    resolve_kernel,
-    use_kernel,
-    violation_counts,
-)
+from repro.core.throttling import batch_violation_counts, violation_counts
 from repro.fleet import FleetCustomer, FleetEngine
 from repro.fleet.arena import (
     ArenaRegistry,
@@ -41,6 +31,8 @@ from repro.fleet.arena import (
     leaked_segments,
 )
 from repro.simulation import FleetConfig, simulate_fleet
+
+from .conftest import doppler_fit_loop, doppler_recommend_loop
 
 
 @pytest.fixture(scope="module")
@@ -62,14 +54,6 @@ def customers(records):
         FleetCustomer.from_record(record, customer_id=f"c{index:03d}")
         for index, record in enumerate(records)
     ]
-
-
-@pytest.fixture()
-def numpy_kernel():
-    """Pin the numpy kernel and restore the selector state afterwards."""
-    use_kernel("numpy")
-    yield
-    use_kernel("numpy")
 
 
 def result_key(result):
@@ -276,44 +260,21 @@ class TestZeroCopyLifecycle:
 
 
 # ----------------------------------------------------------------------
-# Kernel selection
+# Violation kernel against a scalar reference
 # ----------------------------------------------------------------------
-class TestKernelSelection:
-    def test_unknown_kernel_message_lists_choices(self, numpy_kernel):
-        with pytest.raises(ValueError) as excinfo:
-            use_kernel("fortran")
-        message = str(excinfo.value)
-        assert "unknown violation kernel 'fortran'" in message
-        for kind in KERNEL_KINDS:
-            assert repr(kind) in message
-
-    def test_auto_resolves_cleanly_without_numba(self, numpy_kernel):
-        use_kernel("auto")
-        resolved = resolve_kernel()
-        if numba_available():
-            assert resolved in ("numpy", "numba")
-        else:
-            assert resolved == "numpy"
-
-    @pytest.mark.skipif(numba_available(), reason="numba installed")
-    def test_explicit_numba_without_dependency_raises(self, numpy_kernel):
-        with pytest.raises(ValueError, match="numba is not installed"):
-            use_kernel("numba")
-
-    def test_fleet_engine_validates_kernel_eagerly(self, module_catalog):
-        with pytest.raises(ValueError, match="unknown violation kernel"):
-            FleetEngine(engine=DopplerEngine(catalog=module_catalog), kernel="simd")
-        if not numba_available():
-            with pytest.raises(ValueError, match="numba is not installed"):
-                FleetEngine(engine=DopplerEngine(catalog=module_catalog), kernel="numba")
-
-    def test_engine_validation_does_not_flip_process_kernel(self, module_catalog):
-        use_kernel("numpy")
-        FleetEngine(engine=DopplerEngine(catalog=module_catalog), kernel="auto")
-        assert throttling._REQUESTED_KERNEL == "numpy"
+def scalar_violation_counts(demands, caps):
+    """Reference count: one Python comparison per (sku, sample, dim)."""
+    counts = np.zeros(caps.shape[0], dtype=np.int64)
+    for sku, cap in enumerate(caps.tolist()):
+        for row in demands.tolist():
+            if any(value > limit for value, limit in zip(row, cap)):
+                counts[sku] += 1
+    return counts
 
 
-AVAILABLE_KERNELS = ("numpy", "numba") if numba_available() else ("numpy",)
+#: The violation kernels in the tree, each checked against the scalar
+#: reference and, end to end, against single-customer ``DopplerEngine``.
+KERNELS = {"numpy": (violation_counts, batch_violation_counts)}
 
 
 class TestKernelByteIdentity:
@@ -324,46 +285,41 @@ class TestKernelByteIdentity:
         caps = rng.uniform(30.0, 100.0, size=(24, 6))
         return demands, caps
 
-    @pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
-    def test_violation_counts_identical_across_kernels(
-        self, kernel, problem, numpy_kernel
-    ):
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_violation_counts_identical_across_kernels(self, kernel, problem):
         demands, caps = problem
-        use_kernel("numpy")
-        reference = violation_counts(demands, caps)
-        use_kernel(kernel)
-        counts = violation_counts(demands, caps)
-        assert counts.dtype == reference.dtype
-        assert counts.tobytes() == reference.tobytes()
+        count, _ = KERNELS[kernel]
+        reference = scalar_violation_counts(demands, caps)
+        # A tiny memory cap forces many sample chunks; the sum over
+        # chunks must still be the exact count.
+        for memory_cap_mb in (64.0, 0.01):
+            counts = count(demands, caps, memory_cap_mb=memory_cap_mb)
+            assert counts.dtype == reference.dtype
+            assert counts.tobytes() == reference.tobytes()
 
-    @pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
-    def test_batch_counts_identical_across_kernels(self, kernel, problem, numpy_kernel):
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_batch_counts_identical_across_kernels(self, kernel, problem):
         rng = np.random.default_rng(11)
         blocks = [
             rng.uniform(0.0, 120.0, size=(n, 6)) for n in (64, 200, 512, 31)
         ]
         _, caps = problem
-        use_kernel("numpy")
-        reference = batch_violation_counts(blocks, caps)
-        use_kernel(kernel)
-        counts = batch_violation_counts(blocks, caps)
+        _, batch_count = KERNELS[kernel]
+        reference = np.stack([scalar_violation_counts(block, caps) for block in blocks])
+        counts = batch_count(blocks, caps)
         assert counts.tobytes() == reference.tobytes()
 
-    @pytest.mark.parametrize("kernel", ["auto"] + list(AVAILABLE_KERNELS))
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_recommendations_identical_across_kernels(
-        self, kernel, module_catalog, records, customers, numpy_kernel
+        self, kernel, module_catalog, records, customers
     ):
-        use_kernel("numpy")
-        reference_fleet = FleetEngine(
-            engine=DopplerEngine(catalog=module_catalog), backend="serial"
-        )
-        reference_fleet.fit_fleet(records)
-        expected = [result_key(r) for r in reference_fleet.recommend_fleet(customers)]
-        fleet = FleetEngine(
-            engine=DopplerEngine(catalog=module_catalog),
-            backend="serial",
-            kernel=kernel,
-        )
+        assert kernel in KERNELS  # the fleet runs the one kernel there is
+        reference_engine = DopplerEngine(catalog=module_catalog)
+        doppler_fit_loop(reference_engine, records)
+        expected = [
+            result_key(r) for r in doppler_recommend_loop(reference_engine, customers)
+        ]
+        fleet = FleetEngine(engine=DopplerEngine(catalog=module_catalog), backend="serial")
         fleet.fit_fleet(records)
         got = [result_key(r) for r in fleet.recommend_fleet(customers)]
         assert got == expected

@@ -20,6 +20,7 @@ from repro.fleet import CheckpointConfig, WatchConfig
 from repro.fleet.rebalance import Migration, RebalanceDecision, ScheduledRebalancePolicy
 from repro.store import FleetStore, FleetStoreError
 
+from .conftest import watch_backend
 from .test_fleet_backends import canonical_updates, interleaved_feed
 
 WATCH = WatchConfig(window=16, min_refresh_samples=8, tick_samples=8)
@@ -55,7 +56,7 @@ def run_killed(fleet, feed, config, n_consume):
 # Resume byte-identity, all backends
 # ----------------------------------------------------------------------
 class TestResumeIdentity:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process", "process-pickled"])
     def test_kill_at_random_tick_resumes_byte_identically(
         self, backend, small_catalog, tmp_path
     ):
@@ -70,7 +71,7 @@ class TestResumeIdentity:
         for trial, kill_at in enumerate(kill_points):
             store = FleetStore(str(tmp_path / f"{backend}-{trial}.db"))
             config = checkpointed(store, every_ticks=2).replace(
-                backend=backend, max_workers=2
+                **watch_backend(backend), max_workers=2
             )
             consumed = run_killed(
                 make_fleet(small_catalog), feed, config, int(kill_at)
@@ -99,7 +100,7 @@ class TestResumeIdentity:
         baseline = list(make_fleet(small_catalog).watch_fleet(feed, config=WATCH))
         store = FleetStore(str(tmp_path / "cross.db"))
         config = checkpointed(store, every_ticks=2).replace(
-            backend="thread", max_workers=2
+            backend="process", max_workers=2
         )
         run_killed(make_fleet(small_catalog), feed, config, len(baseline) // 2)
         checkpoint = store.require_checkpoint()
@@ -268,7 +269,7 @@ class TestOutputInvariance:
             4: RebalanceDecision(migrations=(Migration("cust-2", 0),), resize_to=2),
         }
         config = checkpointed(store, every_ticks=4).replace(
-            backend="thread",
+            backend="process",
             max_workers=3,
             rebalance=ScheduledRebalancePolicy(schedule=schedule),
         )

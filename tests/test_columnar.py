@@ -1,4 +1,4 @@
-"""Columnar fleet-assessment kernel: equality with the serial path."""
+"""Columnar fleet-assessment kernel: equality with the single-customer engine."""
 
 from __future__ import annotations
 
@@ -20,7 +20,13 @@ from repro.simulation import FleetConfig, simulate_fleet
 from repro.telemetry import PerfDimension
 from repro.telemetry.counters import DB_DIMENSIONS, MI_DIMENSIONS
 
-from .conftest import full_trace, make_sku, make_trace
+from .conftest import (
+    doppler_fit_loop,
+    doppler_recommend_loop,
+    full_trace,
+    make_sku,
+    make_trace,
+)
 
 # ----------------------------------------------------------------------
 # Hypothesis strategies: random traces / catalogs / overrides
@@ -240,17 +246,17 @@ class TestFleetColumnarPath:
             FleetCustomer.from_record(record, customer_id=f"c{index:03d}")
             for index, record in enumerate(records)
         ]
-        outcomes = {}
-        for columnar in (False, True):
-            fleet = FleetEngine(
-                engine=DopplerEngine(catalog=module_catalog),
-                backend="serial",
-                columnar=columnar,
-            )
-            report = fleet.fit_fleet(records)
-            results = [result_projection(r) for r in fleet.recommend_fleet(customers)]
-            outcomes[columnar] = (report, results)
-        assert outcomes[False] == outcomes[True]
+        fleet = FleetEngine(engine=DopplerEngine(catalog=module_catalog), backend="serial")
+        report = fleet.fit_fleet(records)
+        results = [result_projection(r) for r in fleet.recommend_fleet(customers)]
+        reference = DopplerEngine(catalog=module_catalog)
+        assert report.n_unbuildable == doppler_fit_loop(reference, records)
+        for deployment in DeploymentType:
+            assert fleet.engine.group_model(deployment) == reference.group_model(deployment)
+        expected = [
+            result_projection(r) for r in doppler_recommend_loop(reference, customers)
+        ]
+        assert results == expected
 
     def test_columnar_failure_containment_matches(self, module_catalog):
         bad = FleetCustomer(
@@ -261,20 +267,16 @@ class TestFleetColumnarPath:
         good = FleetCustomer(
             customer_id="good", trace=full_trace(n=16), deployment=DeploymentType.SQL_DB
         )
-        per_path = {}
-        for columnar in (False, True):
-            fleet = FleetEngine(
-                engine=DopplerEngine(catalog=module_catalog),
-                backend="serial",
-                columnar=columnar,
-            )
-            per_path[columnar] = [
-                result_projection(r) for r in fleet.recommend_fleet([bad, good])
-            ]
-        assert per_path[False] == per_path[True]
-        assert per_path[True][0][0] == "bad"
-        assert per_path[True][0][-1] is not None  # contained error string
-        assert per_path[True][1][-1] is None
+        fleet = FleetEngine(engine=DopplerEngine(catalog=module_catalog), backend="serial")
+        got = [result_projection(r) for r in fleet.recommend_fleet([bad, good])]
+        expected = [
+            result_projection(r)
+            for r in doppler_recommend_loop(DopplerEngine(catalog=module_catalog), [bad, good])
+        ]
+        assert got == expected
+        assert got[0][0] == "bad"
+        assert got[0][-1] is not None  # contained error string
+        assert got[1][-1] is None
 
     def test_mi_customers_take_columnar_path(self, module_catalog, records):
         customers = [
@@ -286,17 +288,13 @@ class TestFleetColumnarPath:
             )
             for index, record in enumerate(records[:6])
         ]
-        per_path = {}
-        for columnar in (False, True):
-            fleet = FleetEngine(
-                engine=DopplerEngine(catalog=module_catalog),
-                backend="serial",
-                columnar=columnar,
-            )
-            per_path[columnar] = [
-                result_projection(r) for r in fleet.recommend_fleet(customers)
-            ]
-        assert per_path[False] == per_path[True]
+        fleet = FleetEngine(engine=DopplerEngine(catalog=module_catalog), backend="serial")
+        got = [result_projection(r) for r in fleet.recommend_fleet(customers)]
+        expected = [
+            result_projection(r)
+            for r in doppler_recommend_loop(DopplerEngine(catalog=module_catalog), customers)
+        ]
+        assert got == expected
 
     def test_columnar_chunk_probes_cache_in_batches(self, module_catalog, records):
         fleet = FleetEngine(
@@ -336,18 +334,12 @@ class TestFleetColumnarPath:
             trace=make_trace(np.full(8, 1.0), data_size_gb=np.full(8, 1e9)),
             deployment=DeploymentType.SQL_DB,
         )
-        per_path = {}
-        for columnar in (False, True):
-            fleet = FleetEngine(
-                engine=DopplerEngine(catalog=module_catalog),
-                backend="serial",
-                columnar=columnar,
-            )
-            results = list(fleet.recommend_fleet([bad, bad]))
-            stats = fleet.cache_stats()
-            per_path[columnar] = (stats.hits, stats.misses)
-            assert not any(r.ok for r in results)
-        assert per_path[False] == per_path[True] == (0, 2)
+        fleet = FleetEngine(engine=DopplerEngine(catalog=module_catalog), backend="serial")
+        results = list(fleet.recommend_fleet([bad, bad]))
+        stats = fleet.cache_stats()
+        assert not any(r.ok for r in results)
+        # A sequential get_or_build loop re-misses a failed build.
+        assert (stats.hits, stats.misses) == (0, 2)
 
 
 class TestMiOverrideGrouping:
@@ -395,3 +387,84 @@ class TestMiOverrideGrouping:
         np.testing.assert_allclose(
             [got["gp"], got["bc"]], expected, rtol=0, atol=0
         )
+
+
+# ----------------------------------------------------------------------
+# Property: every backend equals a DopplerEngine loop, result by result
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def fitted_engine():
+    """A default-catalog engine with a fitted DB model (MI stays cold-start)."""
+    catalog = SkuCatalog.default()
+    config = FleetConfig.paper_db(12, duration_days=3.0, interval_minutes=60.0)
+    records = [c.record for c in simulate_fleet(config, catalog, rng=41)]
+    engine = DopplerEngine(catalog=catalog)
+    FleetEngine(engine=engine, backend="serial").fit_fleet(records)
+    return engine
+
+
+@st.composite
+def estate(draw):
+    """DB and MI customers, some unbuildable, some submitted twice."""
+    sku_names = [sku.name for sku in SkuCatalog.default().skus[::17]]
+    customers = []
+    for index in range(draw(st.integers(min_value=1, max_value=7))):
+        n = draw(st.integers(min_value=4, max_value=48))
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**16)))
+        level = draw(st.floats(min_value=0.2, max_value=12.0))
+        unbuildable = draw(st.integers(min_value=0, max_value=3)) == 0
+        trace = make_trace(
+            np.abs(rng.normal(level, level / 3, n)) + 1e-3,
+            memory_gb=np.abs(rng.normal(level * 5, level, n)) + 1e-3,
+            data_iops=np.abs(rng.normal(level * 300, level * 80, n)) + 1e-3,
+            io_latency_ms=np.abs(rng.normal(6.0, 1.0, n)) + 0.2,
+            log_rate_mbps=np.abs(rng.normal(level, level / 4, n)) + 1e-3,
+            data_size_gb=np.full(n, 1e9 if unbuildable else 50.0 * level),
+            entity_id=f"prop-{index}",
+        )
+        deployment = draw(st.sampled_from([DeploymentType.SQL_DB, DeploymentType.SQL_MI]))
+        sizes = None
+        if deployment is DeploymentType.SQL_MI and draw(st.booleans()):
+            sizes = tuple(
+                draw(st.lists(st.floats(min_value=8.0, max_value=512.0), min_size=1, max_size=3))
+            )
+        customer = FleetCustomer(
+            customer_id=f"prop-{index}",
+            trace=trace,
+            deployment=deployment,
+            file_sizes_gib=sizes,
+            current_sku_name=draw(st.one_of(st.none(), st.sampled_from(sku_names))),
+        )
+        customers.append(customer)
+        if draw(st.booleans()):
+            customers.append(customer)  # a duplicate rides the cache-hit path
+    return customers
+
+
+def full_projection(result):
+    """``result_projection`` plus every curve point, bit for bit."""
+    curve = result.recommendation.curve if result.recommendation else None
+    points = (
+        tuple((p.sku.name, repr(p.throttling_probability)) for p in curve.points)
+        if curve
+        else None
+    )
+    return (*result_projection(result), points)
+
+
+class TestFleetEqualsDopplerLoop:
+    @settings(max_examples=6, deadline=None)
+    @given(customers=estate())
+    def test_serial_and_process_equal_doppler_loop(self, fitted_engine, customers):
+        expected = [
+            full_projection(r) for r in doppler_recommend_loop(fitted_engine, customers)
+        ]
+        for customer, row in zip(customers, expected):
+            unbuildable = customer.trace[PerfDimension.STORAGE].max() > 1e8
+            assert (row[-2] is not None) == unbuildable  # contained error string
+        for backend, workers in (("serial", None), ("process", 2)):
+            fleet = FleetEngine(
+                engine=fitted_engine, backend=backend, max_workers=workers, chunk_size=3
+            )
+            got = [full_projection(r) for r in fleet.recommend_fleet(customers)]
+            assert got == expected, f"{backend} diverged from the DopplerEngine loop"

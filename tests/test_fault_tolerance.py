@@ -15,6 +15,10 @@ byte-identity without faults is ``test_checkpoint_resume.py``.
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -38,6 +42,7 @@ from repro.fleet import (
 from repro.fleet import backends as backends_module
 from repro.store import FleetStore, StoreCorruptionError
 
+from .conftest import watch_backend
 from .test_fleet_backends import canonical_updates, interleaved_feed, live_samples
 
 #: Small ticks so short feeds still span many fault coordinates.
@@ -125,7 +130,7 @@ class TestSupervisionConfig:
 # Kill-at-tick byte-identity, all backends
 # ----------------------------------------------------------------------
 class TestKillRecoveryIdentity:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process", "process-pickled"])
     def test_kill_at_random_tick_is_byte_identical(self, backend, small_catalog):
         """Property test: kill coordinates drawn per backend, output parity."""
         feed = interleaved_feed(6, 32, seed=11)
@@ -133,13 +138,13 @@ class TestKillRecoveryIdentity:
             make_fleet(small_catalog).watch_fleet(feed, config=WATCH)
         )
         rng = np.random.default_rng(hash(backend) % 2**32)
-        # Serial pools have one shard; thread/process watches get 3.
+        # Serial pools have one shard; process watches get 3.
         shard_id = 0 if backend == "serial" else 1
         ticks = rng.integers(0, 4, size=2 if backend == "serial" else 1)
         for tick in ticks:
             fleet = make_fleet(small_catalog)
             config = WATCH.replace(
-                backend=backend,
+                **watch_backend(backend),
                 max_workers=3,
                 supervision=supervised(FaultPlan(kill_worker=((shard_id, int(tick)),))),
             )
@@ -191,7 +196,7 @@ class TestKillRecoveryIdentity:
 # Deadlines: dropped results and hung workers
 # ----------------------------------------------------------------------
 class TestDeadlines:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process", "process-pickled"])
     def test_dropped_result_is_detected_by_deadline(self, backend, small_catalog):
         """A worker that processes but never replies is only visible as a
         deadline overrun; the restart must still keep byte-identity."""
@@ -201,7 +206,7 @@ class TestDeadlines:
         )
         fleet = make_fleet(small_catalog)
         config = WATCH.replace(
-            backend=backend,
+            **watch_backend(backend),
             max_workers=3,
             supervision=supervised(
                 FaultPlan(drop_result=((1, 1),)), tick_deadline_s=1.5
@@ -271,7 +276,7 @@ class TestShardQuarantine:
         fleet = make_fleet(small_catalog)
         kills = tuple((1, tick) for tick in range(64))
         config = WATCH.replace(
-            backend="thread",
+            backend="process",
             max_workers=3,
             supervision=supervised(
                 FaultPlan(kill_worker=kills), max_restarts=1, snapshot_every_ticks=1
@@ -527,7 +532,7 @@ class TestDegradedServing:
 # Probation: quarantined shards re-enter service after a cool-down
 # ----------------------------------------------------------------------
 class TestShardProbation:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process", "process-pickled"])
     def test_quarantined_shard_reenters_after_cooldown(
         self, backend, small_catalog, tmp_path
     ):
@@ -540,7 +545,7 @@ class TestShardProbation:
         # coordinates because the pipelined watch replays in-flight
         # ticks without their directives.)
         config = WATCH.replace(
-            backend=backend,
+            **watch_backend(backend),
             max_workers=3,
             checkpoint=CheckpointConfig(store=store, every_ticks=2),
             supervision=supervised(
@@ -572,7 +577,7 @@ class TestShardProbation:
         fleet = make_fleet(small_catalog)
         kills = tuple((1, tick) for tick in range(64))
         config = WATCH.replace(
-            backend="thread",
+            backend="process",
             max_workers=3,
             supervision=supervised(
                 FaultPlan(kill_worker=kills), max_restarts=1, snapshot_every_ticks=1
@@ -635,3 +640,96 @@ class TestZeroCopyFaultHygiene:
         assert stats.quarantined_shards == (1,)
         assert [u for u in updates if u.update is not None]
         assert leaked_segments() == baseline_segments
+
+
+# ----------------------------------------------------------------------
+# Result pipes: a worker dying mid-reply stalls nobody
+# ----------------------------------------------------------------------
+#: Bytes of a reply that reach the pipe before the worker is killed:
+#: nothing, half of the 4-byte length header, or the header (claiming
+#: 4 KiB) and a fragment of the body.
+REPLY_CUTS = {"none": b"", "header": b"\x00\x00", "body": b"\x00\x00\x10\x00partial"}
+
+
+class _DieMidReply:
+    """Input-queue proxy: on a kill order, start a reply, then SIGKILL."""
+
+    def __init__(self, in_queue, out_conn, cut: str) -> None:
+        self._queue = in_queue
+        self._fd = out_conn.fileno()
+        self._cut = cut
+
+    def get(self):
+        message = self._queue.get()
+        if message is not None and message[0] == "tick" and message[3] == ("kill",):
+            os.write(self._fd, REPLY_CUTS[self._cut])
+            os.kill(os.getpid(), signal.SIGKILL)
+        return message
+
+
+class _ExitedWorker:
+    name = "fleet-watch-0"
+
+    def is_alive(self) -> bool:
+        return False
+
+
+def exited_pool(*messages):
+    """A process pool whose one worker sent ``messages`` and exited."""
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    for message in messages:
+        sender.send(message)
+    sender.close()
+    pool = backends_module._ProcessShardPool.__new__(backends_module._ProcessShardPool)
+    pool._results = {0: receiver}
+    pool._workers = {0: _ExitedWorker()}
+    return pool
+
+
+class TestResultPipes:
+    @pytest.mark.parametrize("backend", ["process", "process-pickled"])
+    @pytest.mark.parametrize("cut", sorted(REPLY_CUTS))
+    def test_worker_dying_mid_reply_recovers_byte_identically(
+        self, cut, backend, small_catalog, monkeypatch
+    ):
+        """A worker killed while writing a reply leaves a torn message
+        in its own pipe only: the parent reads it as the worker's death,
+        restarts the shard, and the stream stays byte-identical."""
+        real_main = backends_module._watch_worker_main
+
+        def worker_main(worker_id, config, in_queue, out_conn):
+            real_main(worker_id, config, _DieMidReply(in_queue, out_conn, cut), out_conn)
+
+        # Forked workers inherit the patched entry point.
+        monkeypatch.setattr(backends_module, "_watch_worker_main", worker_main)
+        feed = interleaved_feed(6, 32, seed=11)
+        baseline = canonical_updates(
+            make_fleet(small_catalog).watch_fleet(feed, config=WATCH)
+        )
+        fleet = make_fleet(small_catalog)
+        config = WATCH.replace(
+            **watch_backend(backend),
+            max_workers=3,
+            supervision=supervised(FaultPlan(kill_worker=((1, 1),))),
+        )
+        assert canonical_updates(fleet.watch_fleet(feed, config=config)) == baseline
+        stats = fleet.watch_supervision_stats()
+        assert stats.n_restarts == 1
+        (event,) = stats.events
+        assert (event.shard_id, event.reason) == (1, "death")
+
+    def test_replies_sent_before_exit_arrive_before_the_death(self):
+        pool = exited_pool(("installed", 0, 7))
+        assert pool._receive({0}) == ("installed", 0, 7)
+        with pytest.raises(backends_module._WorkerFailure) as failure:
+            pool._receive({0})
+        assert (failure.value.shard_ids, failure.value.reason) == ((0,), "death")
+        assert pool._results == {}
+
+    def test_exit_of_a_worker_owing_nothing_is_not_a_death(self):
+        pool = exited_pool(("stats", 0, None))
+        assert pool._receive({0}) == ("stats", 0, None)
+        with pytest.raises(backends_module._WorkerFailure) as failure:
+            pool._receive(set(), deadline=time.monotonic() + 0.2)
+        assert failure.value.reason == "deadline"
+        assert pool._results == {}

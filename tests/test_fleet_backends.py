@@ -39,7 +39,7 @@ from repro.telemetry import PerfDimension, TimeSeries
 from repro.telemetry.counters import PROFILING_DB_DIMENSIONS
 from repro.telemetry.streaming import StreamingSeriesStats
 
-from .conftest import full_trace
+from .conftest import doppler_fit_loop, full_trace, watch_backend
 
 WATCH_CONFIG = WatchConfig(window=16, min_refresh_samples=8)
 
@@ -120,7 +120,18 @@ class TestBackendSelection:
 
     def test_nonpositive_workers_rejected(self):
         with pytest.raises(ValueError, match="max_workers"):
-            make_backend("thread", max_workers=0)
+            make_backend("process", max_workers=0)
+
+    def test_deleted_thread_backend_is_rejected(self, small_catalog):
+        assert BACKEND_NAMES == ("serial", "process")
+        with pytest.raises(ValueError) as excinfo:
+            make_backend("thread")
+        message = str(excinfo.value)
+        assert message == (
+            "unknown fleet backend 'thread'; choose one of 'serial', 'process'"
+        )
+        with pytest.raises(ValueError, match="unknown fleet backend 'thread'"):
+            FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="thread")
 
     def test_fleet_engine_validates_backend_eagerly(self, small_catalog):
         with pytest.raises(ValueError, match="unknown fleet backend"):
@@ -128,7 +139,7 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="max_workers"):
             FleetEngine(
                 engine=DopplerEngine(catalog=small_catalog),
-                backend="thread",
+                backend="process",
                 max_workers=-1,
             )
 
@@ -167,23 +178,23 @@ class TestBackendSelection:
 # Streaming parity across backends
 # ----------------------------------------------------------------------
 class TestWatchParity:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process", "process-pickled"])
     def test_sharded_watch_equals_serial(self, backend, small_catalog):
         fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
         feed = interleaved_feed(7, 24, seed=60)
         serial = canonical_updates(fleet.watch_fleet(feed, config=WATCH_CONFIG))
         sharded = canonical_updates(
-            fleet.watch_fleet(feed, config=WATCH_CONFIG.replace(backend=backend, max_workers=3))
+            fleet.watch_fleet(feed, config=WATCH_CONFIG.replace(**watch_backend(backend), max_workers=3))
         )
         assert sharded == serial
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process", "process-pickled"])
     def test_quarantine_ordering_survives_sharding(self, backend, small_catalog):
         fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
         feed = interleaved_feed(6, 20, seed=61, poison=("cust-1", "cust-4"))
         serial = list(fleet.watch_fleet(feed, config=WATCH_CONFIG))
         sharded = list(
-            fleet.watch_fleet(feed, config=WATCH_CONFIG.replace(backend=backend, max_workers=3))
+            fleet.watch_fleet(feed, config=WATCH_CONFIG.replace(**watch_backend(backend), max_workers=3))
         )
         assert canonical_updates(sharded) == canonical_updates(serial)
         failures = [update for update in sharded if not update.ok]
@@ -191,7 +202,7 @@ class TestWatchParity:
         # Quarantined exactly once each, then silence.
         assert len(failures) == 2
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process", "process-pickled"])
     def test_every_sample_mode_equals_serial(self, backend, small_catalog):
         fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
         feed = interleaved_feed(5, 12, seed=62)
@@ -201,7 +212,7 @@ class TestWatchParity:
             fleet.watch_fleet(
                 feed,
                 config=WATCH_CONFIG.replace(
-                    backend=backend, max_workers=2, refreshes_only=False
+                    **watch_backend(backend), max_workers=2, refreshes_only=False
                 ),
             )
         )
@@ -216,13 +227,13 @@ class TestWatchParity:
         )
         assert one == serial
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process", "process-pickled"])
     def test_watch_cache_accounting_survives_sharding(self, backend, small_catalog):
         fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
         feed = interleaved_feed(6, 16, seed=64)
         assert fleet.watch_cache_stats() is None  # no watch yet
         updates = list(
-            fleet.watch_fleet(feed, config=WATCH_CONFIG.replace(backend=backend, max_workers=3))
+            fleet.watch_fleet(feed, config=WATCH_CONFIG.replace(**watch_backend(backend), max_workers=3))
         )
         stats = fleet.watch_cache_stats()
         # Every refresh built (or looked up) a curve in a watch-scoped
@@ -245,10 +256,10 @@ class TestWatchParity:
         pipeline = AssessmentPipeline(engine=DopplerEngine(catalog=small_catalog))
         feed = interleaved_feed(4, 16, seed=66)
         serial = canonical_updates(pipeline.watch_fleet(feed, config=WATCH_CONFIG))
-        threaded = canonical_updates(
-            pipeline.watch_fleet(feed, config=WATCH_CONFIG.replace(backend="thread", max_workers=2))
+        sharded = canonical_updates(
+            pipeline.watch_fleet(feed, config=WATCH_CONFIG.replace(backend="process", max_workers=2))
         )
-        assert threaded == serial
+        assert sharded == serial
         with pytest.raises(ValueError, match="unknown fleet backend"):
             pipeline.watch_fleet(feed, config=WatchConfig(backend="quantum"))
 
@@ -264,7 +275,7 @@ class TestBatchThroughBackends:
             customer.record for customer in simulate_fleet(config, default_catalog, rng=19)
         ]
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_fit_fleet_parity_across_backends(self, backend, default_catalog, trained):
         serial_engine = DopplerEngine(catalog=default_catalog)
         FleetEngine(engine=serial_engine, backend="serial").fit_fleet(trained)
@@ -274,14 +285,8 @@ class TestBatchThroughBackends:
         ).fit_fleet(trained)
         deployment = DeploymentType.SQL_DB
         serial_model = serial_engine.group_model(deployment)
-        parallel_model = parallel_engine.group_model(deployment)
-        assert serial_model is not None and parallel_model is not None
-        assert set(parallel_model.groups) == set(serial_model.groups)
-        for key, stats in serial_model.groups.items():
-            other = parallel_model.groups[key]
-            assert other.count == stats.count
-            assert other.p_mean == stats.p_mean
-        assert parallel_model.fallback.p_mean == serial_model.fallback.p_mean
+        assert serial_model is not None
+        assert parallel_engine.group_model(deployment) == serial_model
 
 
 # ----------------------------------------------------------------------
@@ -529,23 +534,13 @@ class TestProfileBatch:
             for customer in simulate_fleet(config, default_catalog, rng=23)
         ]
         columnar_engine = DopplerEngine(catalog=default_catalog)
-        FleetEngine(engine=columnar_engine, backend="serial", columnar=True).fit_fleet(
-            records
-        )
+        FleetEngine(engine=columnar_engine, backend="serial").fit_fleet(records)
         reference_engine = DopplerEngine(catalog=default_catalog)
-        FleetEngine(
-            engine=reference_engine, backend="serial", columnar=False
-        ).fit_fleet(records)
+        doppler_fit_loop(reference_engine, records)
         deployment = DeploymentType.SQL_DB
-        columnar_model = columnar_engine.group_model(deployment)
         reference_model = reference_engine.group_model(deployment)
-        assert columnar_model is not None and reference_model is not None
-        assert set(columnar_model.groups) == set(reference_model.groups)
-        for key, stats in reference_model.groups.items():
-            other = columnar_model.groups[key]
-            assert other.count == stats.count
-            assert other.p_mean == stats.p_mean
-        assert columnar_model.fallback.p_mean == reference_model.fallback.p_mean
+        assert reference_model is not None
+        assert columnar_engine.group_model(deployment) == reference_model
 
 
 # ----------------------------------------------------------------------
@@ -670,12 +665,8 @@ class TestZeroCopyTickPlane:
             )
         )
         assert len(created) == 1  # opt-out respected
-        list(
-            fleet.watch_fleet(
-                feed, config=WATCH_CONFIG.replace(backend="thread", max_workers=2)
-            )
-        )
-        assert len(created) == 1  # same-address-space backends never pay
+        list(fleet.watch_fleet(feed, config=WATCH_CONFIG.replace(backend="serial")))
+        assert len(created) == 1  # the in-parent serial backend never pays
 
     def test_migration_during_watch_rides_state_frames(self, small_catalog):
         from repro.fleet.rebalance import Migration, RebalanceDecision, ScheduledRebalancePolicy

@@ -27,7 +27,7 @@ from repro.fleet import (
 )
 from repro.streaming import LiveRecommender
 
-from .conftest import make_sku
+from .conftest import make_sku, watch_backend
 from .test_fleet_backends import (
     WATCH_CONFIG,
     canonical_updates,
@@ -35,7 +35,7 @@ from .test_fleet_backends import (
     live_samples,
 )
 
-BACKENDS = [("serial", None), ("thread", 3), ("process", 3)]
+BACKENDS = [("serial", None), ("process", 3), ("process-pickled", 3)]
 
 
 def compact_catalog() -> SkuCatalog:
@@ -149,7 +149,7 @@ class TestMigrationParity:
             fleet.watch_fleet(
                 feed,
                 config=WATCH_CONFIG.replace(
-                    backend=backend,
+                    **watch_backend(backend),
                     max_workers=workers,
                     rebalance=policy,
                     on_rebalance=events.append,
@@ -193,7 +193,7 @@ class TestMigrationParity:
             fleet.watch_fleet(
                 feed,
                 config=WATCH_CONFIG.replace(
-                    backend=backend,
+                    **watch_backend(backend),
                     max_workers=workers,
                     rebalance=ScheduledRebalancePolicy(schedule=schedule),
                     tick_samples=4,
@@ -219,7 +219,7 @@ class TestMigrationParity:
             fleet.watch_fleet(
                 feed,
                 config=WATCH_CONFIG.replace(
-                    backend=backend,
+                    **watch_backend(backend),
                     max_workers=workers,
                     rebalance=ScheduledRebalancePolicy(schedule=schedule),
                     tick_samples=4,
@@ -250,7 +250,7 @@ class TestMigrationParity:
             fleet.watch_fleet(
                 feed,
                 config=config.replace(
-                    backend=backend,
+                    **watch_backend(backend),
                     max_workers=workers,
                     rebalance=ScheduledRebalancePolicy(schedule=schedule),
                     tick_samples=4,
@@ -293,7 +293,7 @@ class TestMigrationParity:
             fleet.watch_fleet(
                 feed,
                 config=WATCH_CONFIG.replace(
-                    backend="thread", max_workers=2, tick_samples=2
+                    backend="process", max_workers=2, tick_samples=2
                 ),
             )
         )
@@ -334,7 +334,7 @@ class TestWatchAccounting:
         feed = interleaved_feed(5, 12, seed=93)
         updates = list(
             fleet.watch_fleet(
-                feed, config=WATCH_CONFIG.replace(backend="thread", max_workers=3)
+                feed, config=WATCH_CONFIG.replace(backend="process", max_workers=3)
             )
         )
         assert updates
@@ -371,7 +371,7 @@ class TestWatchAccounting:
             fleet.watch_fleet(
                 feed,
                 config=WATCH_CONFIG.replace(
-                    backend=backend,
+                    **watch_backend(backend),
                     max_workers=workers,
                     rebalance=ScheduledRebalancePolicy(schedule=schedule),
                     tick_samples=4,
@@ -539,7 +539,7 @@ class TestLoadImbalancePolicy:
             fleet.watch_fleet(
                 feed,
                 config=WATCH_CONFIG.replace(
-                    backend="thread", max_workers=3, rebalance=policy, tick_samples=4
+                    backend="process", max_workers=3, rebalance=policy, tick_samples=4
                 ),
             )
         )
