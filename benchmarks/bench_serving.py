@@ -377,6 +377,7 @@ def main(argv: list[str] | None = None) -> int:
         f"  diurnal {diurnal_record['requests_per_sec']:>7.1f} req/s"
         f"   p95 {diurnal_record['p95_ms']:.2f}ms"
         f"   rejected {diurnal_record['n_rejected']}"
+        f"   sent late p99 {diurnal_record['late_p99_ms']:.2f}ms"
     )
 
     print(
@@ -397,6 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         f"   rejected {flash_record['n_rejected']}"
         f" ({flash_record['rejection_rate']:.0%})"
         f"   p95 {flash_record['p95_ms']:.2f}ms"
+        f"   sent late p99 {flash_record['late_p99_ms']:.2f}ms"
     )
 
     print(

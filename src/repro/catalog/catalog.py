@@ -10,7 +10,9 @@ curve's x axis).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .generator import default_catalog_skus
@@ -109,3 +111,20 @@ class SkuCatalog:
 
     def names(self) -> Sequence[str]:
         return [sku.name for sku in self.skus]
+
+    @cached_property
+    def signature(self) -> str:
+        """Stable hash of the SKU set (names, prices and resource limits).
+
+        Computed once per catalog instance: catalogs are immutable.
+        """
+        digest = hashlib.blake2b(digest_size=8)
+        for sku in sorted(self.skus, key=lambda s: s.name):
+            for part in (
+                sku.name.encode("utf-8"),
+                repr(float(sku.price_per_hour)).encode("ascii"),
+                repr(sku.limits).encode("utf-8"),
+            ):
+                digest.update(len(part).to_bytes(8, "little"))
+                digest.update(part)
+        return digest.hexdigest()

@@ -13,12 +13,21 @@ genuine ranking across many throttling levels).
 from __future__ import annotations
 
 import enum
+import itertools
+import pickle
+import zlib
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..catalog.models import SkuSpec
+from ..catalog.models import (
+    DeploymentType,
+    HardwareGeneration,
+    ResourceLimits,
+    ServiceTier,
+    SkuSpec,
+)
 
 __all__ = ["CurvePoint", "CurveShape", "PricePerformanceCurve"]
 
@@ -155,18 +164,34 @@ class PricePerformanceCurve:
             raise ValueError("throttling probabilities must lie in [0, 1]")
         raw = np.clip(probabilities, 0.0, 1.0)
         scores = np.maximum.accumulate(1.0 - raw)
-        points = tuple(
-            CurvePoint(sku, price, probability, score)
-            for sku, price, probability, score in zip(
-                skus, monthly_prices, raw.tolist(), scores.tolist()
-            )
-        )
+        points = _points(skus, monthly_prices, raw.tolist(), scores.tolist())
         if not points:
             raise ValueError("a price-performance curve needs at least one point")
         curve = object.__new__(cls)
         object.__setattr__(curve, "points", points)
         object.__setattr__(curve, "entity_id", entity_id)
         return curve
+
+    def __reduce__(self):
+        """Pickle as columns: the SKU sequence as memoized bytes, then floats.
+
+        Checkpoints and worker replies pickle hundreds of curve points
+        per customer, and the default protocol calls back into Python
+        for every point and every SKU.  Here each distinct SKU sequence
+        is pickled once per process (as plain strings and floats) and
+        restored once per process, and the float columns pickle in C.
+        """
+        skus, monthly_prices, probabilities, scores = zip(*self.points)
+        return (
+            _restore_curve,
+            (
+                self.entity_id,
+                _sequence_rows(skus),
+                monthly_prices,
+                probabilities,
+                scores,
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -252,3 +277,102 @@ class PricePerformanceCurve:
         lines.append("    +" + "-" * width)
         lines.append(f"     ${lo:,.0f}/mo{' ' * max(1, width - 20)}${hi:,.0f}/mo")
         return "\n".join(lines)
+
+
+def _points(*columns: Sequence) -> tuple[CurvePoint, ...]:
+    """Curve points from aligned (sku, price, probability, score) columns.
+
+    ``tuple.__new__`` builds each named tuple without the Python-level
+    constructor call, which dominates curve assembly at catalog size.
+    """
+    return tuple(map(tuple.__new__, itertools.repeat(CurvePoint), zip(*columns)))
+
+
+#: The pickled SKU rows of every SKU sequence pickled inside a curve,
+#: keyed by the SKUs' identities.  Curves over one catalog share a few
+#: candidate sequences, so each is pickled once.  An entry holds its
+#: SKUs, so no id in its key is reused while it lives.
+_SEQUENCE_ROWS: dict[tuple[int, ...], tuple[tuple[SkuSpec, ...], bytes]] = {}
+
+#: The SKUs each pickled sequence restores to, and the SKU each row
+#: restores to: restored curves share them.
+_SEQUENCES_BY_ROWS: dict[bytes, tuple[SkuSpec, ...]] = {}
+_SKUS_BY_ROW: dict[tuple, SkuSpec] = {}
+
+#: Sequences either sequence memo may hold before it starts over; a
+#: process sees a few catalogs, so this only bounds memory.
+_SEQUENCE_MEMO_LIMIT = 256
+
+
+def _sequence_rows(skus: tuple[SkuSpec, ...]) -> bytes:
+    """The SKUs as compressed, pickled strings and floats, memoized per sequence.
+
+    Every checkpointed customer state embeds its curve's sequence, and
+    compressing the rows once shrinks each state blob by about a half.
+    """
+    key = tuple(map(id, skus))
+    entry = _SEQUENCE_ROWS.get(key)
+    if entry is None:
+        if len(_SEQUENCE_ROWS) >= _SEQUENCE_MEMO_LIMIT:
+            _SEQUENCE_ROWS.clear()
+        rows = [
+            (
+                sku.name,
+                sku.deployment.value,
+                sku.tier.value,
+                sku.hardware.value,
+                sku.price_per_hour,
+                sku.limits.__getstate__(),
+            )
+            for sku in skus
+        ]
+        data = zlib.compress(pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL))
+        entry = _SEQUENCE_ROWS[key] = (skus, data)
+    return entry[1]
+
+
+def _sequence_from_rows(data: bytes) -> tuple[SkuSpec, ...]:
+    skus = _SEQUENCES_BY_ROWS.get(data)
+    if skus is None:
+        if len(_SEQUENCES_BY_ROWS) >= _SEQUENCE_MEMO_LIMIT:
+            _SEQUENCES_BY_ROWS.clear()
+            _SKUS_BY_ROW.clear()
+        rows = pickle.loads(zlib.decompress(data))
+        skus = _SEQUENCES_BY_ROWS[data] = tuple(map(_sku_from_row, rows))
+    return skus
+
+
+def _sku_from_row(row: tuple) -> SkuSpec:
+    sku = _SKUS_BY_ROW.get(row)
+    if sku is None:
+        name, deployment, tier, hardware, price_per_hour, limits_state = row
+        limits = object.__new__(ResourceLimits)
+        limits.__setstate__(limits_state)
+        sku = object.__new__(SkuSpec)
+        sku.__setstate__(
+            (
+                DeploymentType(deployment),
+                ServiceTier(tier),
+                HardwareGeneration(hardware),
+                limits,
+                price_per_hour,
+                name,
+            )
+        )
+        _SKUS_BY_ROW[row] = sku
+    return sku
+
+
+def _restore_curve(
+    entity_id: str,
+    sku_rows: bytes,
+    monthly_prices: tuple[float, ...],
+    probabilities: tuple[float, ...],
+    scores: tuple[float, ...],
+) -> PricePerformanceCurve:
+    """Inverse of :meth:`PricePerformanceCurve.__reduce__` (no re-validation)."""
+    points = _points(_sequence_from_rows(sku_rows), monthly_prices, probabilities, scores)
+    curve = object.__new__(PricePerformanceCurve)
+    object.__setattr__(curve, "points", points)
+    object.__setattr__(curve, "entity_id", entity_id)
+    return curve

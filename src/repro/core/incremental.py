@@ -21,7 +21,8 @@ realistic window size), which the streaming test suite pins to 1e-12.
 
 from __future__ import annotations
 
-from typing import Mapping
+import functools
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -30,13 +31,17 @@ from ..telemetry.counters import PerfDimension
 from ..telemetry.streaming import parse_sample
 from ..telemetry.trace import PerformanceTrace
 from .throttling import (
-    ThrottlingEstimator,
     _violation_mask,
+    capacity_matrix,
     demand_matrix,
     invert_latency,
 )
 
-__all__ = ["IncrementalThrottlingEstimator"]
+__all__ = ["CapacitySource", "IncrementalThrottlingEstimator"]
+
+#: Maps per-SKU-name IOPS overrides (or None) to the estimator's
+#: read-only ``(n_skus, n_dims)`` capacity matrix.
+CapacitySource = Callable[[Mapping[str, float] | None], np.ndarray]
 
 
 class IncrementalThrottlingEstimator:
@@ -59,6 +64,14 @@ class IncrementalThrottlingEstimator:
         dimensions: Performance dimensions evaluated jointly.
         window: Sliding-window length in samples; ``None`` keeps the
             whole stream (running counts, no eviction).
+
+    ``capacities`` supplies the capacity matrix for a set of IOPS
+    overrides; it defaults to :func:`capacity_matrix` over ``skus``.
+    The live recommender passes its modeler's memo
+    (:meth:`~repro.core.ppm.PricePerformanceModeler.capacity_matrix_for`),
+    so construction, restores and MI rebases look a matrix up instead
+    of building it.  Both are the batch estimators' construction, so
+    the two agree bit-for-bit on the violation predicate.
     """
 
     def __init__(
@@ -67,6 +80,7 @@ class IncrementalThrottlingEstimator:
         dimensions: tuple[PerfDimension, ...],
         window: int | None = None,
         iops_overrides: dict[str, float] | None = None,
+        capacities: CapacitySource | None = None,
     ) -> None:
         if not dimensions:
             raise ValueError("the estimator needs at least one dimension")
@@ -75,11 +89,10 @@ class IncrementalThrottlingEstimator:
         self.skus = tuple(skus)
         self.dimensions = tuple(dimensions)
         self.window = window
-        # Same capacity construction as the batch estimators, so the
-        # two agree bit-for-bit on the violation predicate.
-        self._caps = ThrottlingEstimator._capacity_matrix(
-            list(skus), self.dimensions, iops_overrides
+        self._capacities = capacities or functools.partial(
+            capacity_matrix, list(self.skus), self.dimensions
         )
+        self._caps = self._capacities(iops_overrides)
         self._iops_overrides = dict(iops_overrides) if iops_overrides else None
         self._invert = np.array([dim.lower_is_better for dim in self.dimensions])
         self._counts = np.zeros(len(self.skus), dtype=np.int64)
@@ -180,7 +193,7 @@ class IncrementalThrottlingEstimator:
         iops_overrides: dict[str, float] | None,
         trace: PerformanceTrace | None = None,
     ) -> None:
-        """Replace the IOPS overrides and rebuild window state.
+        """Replace the IOPS overrides and re-count the window against them.
 
         The MI streaming-parity hook (paper Section 3.2 Step 2): the
         GP IOPS capacity is the planned file layout's summed disk
@@ -189,7 +202,8 @@ class IncrementalThrottlingEstimator:
         evaluated against the *old* capacities, so they cannot be
         patched in place; the caller supplies the current window
         (normally the live ring buffer's snapshot) and the estimator
-        re-derives counts against the new capacity matrix in one
+        re-derives counts against the capacity matrix its
+        ``capacities`` source returns for the new overrides, in one
         vectorized pass -- an O(window) cost paid only when the layout
         actually changes.
 
@@ -214,9 +228,7 @@ class IncrementalThrottlingEstimator:
                 "have been ingested; the counted violations are stale under "
                 "the new capacity matrix"
             )
-        self._caps = ThrottlingEstimator._capacity_matrix(
-            list(self.skus), self.dimensions, iops_overrides
-        )
+        self._caps = self._capacities(iops_overrides)
         self._iops_overrides = dict(iops_overrides) if iops_overrides else None
         self._counts[:] = 0
         if self._ring is not None:
@@ -285,9 +297,10 @@ class IncrementalThrottlingEstimator:
     def load_state(self, state: dict) -> None:
         """Adopt a :meth:`state_dict` snapshot; the inverse operation.
 
-        Rebuilds the capacity matrix from the snapshot's overrides, so
-        the restored estimator continues exactly where the source left
-        off -- including mid-stream MI layout rebases.
+        Takes the capacity matrix for the snapshot's overrides from the
+        ``capacities`` source, so the restored estimator continues
+        exactly where the source left off -- including mid-stream MI
+        layout rebases.
 
         Raises:
             ValueError: If the snapshot's count/ring shapes disagree
@@ -313,9 +326,7 @@ class IncrementalThrottlingEstimator:
                     f"this estimator's {self._ring.shape}"
                 )
         overrides = state["iops_overrides"]
-        self._caps = ThrottlingEstimator._capacity_matrix(
-            list(self.skus), self.dimensions, overrides
-        )
+        self._caps = self._capacities(overrides)
         self._iops_overrides = dict(overrides) if overrides else None
         self._counts = counts.copy()
         self._ring = None if ring is None else ring.copy()

@@ -17,7 +17,7 @@ layout's summed IOPS as the GP IOPS limit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -41,10 +41,13 @@ def gp_iops_overrides(
 ) -> dict[str, float]:
     """Step-2 IOPS overrides: GP SKUs inherit the layout's summed limit.
 
-    The single definition of the MI override policy (paper Section 3.2
-    Step 2), shared by curve construction and the live recommender's
-    drift-estimator sync -- the parity contract requires both to see
-    identical capacities, so neither may encode the rule privately.
+    The MI override policy (paper Section 3.2 Step 2) as a per-SKU
+    mapping, used by the live recommender's drift-estimator sync.  The
+    modeler's capacity memo applies the same rule through its GP mask
+    and accepts only mappings of this form
+    (:meth:`PricePerformanceModeler.capacity_matrix_for`), so curve
+    construction and the estimator see identical capacities -- the
+    parity contract.
     """
     return {
         sku.name: plan.layout.total_iops
@@ -63,14 +66,23 @@ def _no_storage_fit_message(footprint: float) -> str:
     return f"no candidate SKU can hold {footprint:.0f} GB of data"
 
 
+def _storage_footprint(trace: PerformanceTrace) -> float:
+    if PerfDimension.STORAGE in trace:
+        return trace[PerfDimension.STORAGE].max()
+    return 1.0
+
+
 class _DeploymentCurveState:
-    """Precomputed per-deployment inputs of the columnar curve kernel.
+    """Precomputed per-deployment inputs of every curve build.
 
     Built once per modeler and deployment: the candidate SKUs in
     catalog (price) order plus the vectorized per-SKU attributes that
-    the batch path needs -- storage limits for the per-customer fit
-    mask, the GP-tier mask for MI IOPS overrides, and a memo of
-    capacity matrices per dimension tuple.
+    curve construction needs -- storage limits for the per-customer fit
+    mask, the GP/BC tier masks for the MI procedure, and the memo of
+    read-only capacity matrices keyed by (dimension tuple, GP IOPS
+    override).  The catalog fixes capacities, so a fleet needs only a
+    handful of matrices; MI overrides are sums of discrete premium-disk
+    limits, which keeps the memo small.
     """
 
     def __init__(self, skus: Sequence[SkuSpec]) -> None:
@@ -87,16 +99,74 @@ class _DeploymentCurveState:
         self.bc_mask = np.array(
             [sku.tier is ServiceTier.BUSINESS_CRITICAL for sku in self.skus]
         )
-        self._caps_by_dims: dict[tuple[PerfDimension, ...], np.ndarray] = {}
+        self.gp_names = frozenset(
+            sku.name for sku, gp in zip(self.skus, self.gp_mask) if gp
+        )
+        self._caps: dict[tuple[tuple[PerfDimension, ...], float | None], np.ndarray] = {}
 
-    def caps_for(self, dimensions: tuple[PerfDimension, ...]) -> np.ndarray:
-        """Capacity matrix over all candidates, memoized per dim tuple."""
-        caps = self._caps_by_dims.get(dimensions)
+    def caps_for(
+        self, dimensions: tuple[PerfDimension, ...], gp_iops: float | None = None
+    ) -> np.ndarray:
+        """Read-only capacity matrix over all candidates, memoized.
+
+        ``gp_iops`` replaces the IOPS capacity of every GP candidate
+        (paper Section 3.2 Step 2); it is ignored when IOPS is not
+        evaluated, so such tuples share one matrix.
+        """
+        if PerfDimension.IOPS not in dimensions:
+            gp_iops = None
+        key = (dimensions, gp_iops)
+        caps = self._caps.get(key)
         if caps is None:
-            caps = capacity_matrix(list(self.skus), dimensions)
+            overrides = None if gp_iops is None else dict.fromkeys(self.gp_names, gp_iops)
+            caps = capacity_matrix(list(self.skus), dimensions, overrides)
             caps.flags.writeable = False
-            self._caps_by_dims[dimensions] = caps
+            self._caps[key] = caps
         return caps
+
+    def gp_iops_of(self, iops_overrides: Mapping[str, float] | None) -> float | None:
+        """The GP IOPS limit a :func:`gp_iops_overrides` mapping encodes.
+
+        Raises:
+            ValueError: If the mapping is not one limit over exactly
+                this deployment's GP candidates.
+        """
+        if not iops_overrides:
+            return None
+        limit = next(iter(iops_overrides.values()))
+        if iops_overrides.keys() != self.gp_names or any(
+            value != limit for value in iops_overrides.values()
+        ):
+            raise ValueError(
+                "IOPS overrides must give every GP candidate of the deployment "
+                "one limit (see gp_iops_overrides)"
+            )
+        return limit
+
+    def fit_mask(self, trace: PerformanceTrace) -> np.ndarray:
+        """Candidates that hold the trace's data at 100 % (never negotiable).
+
+        Raises:
+            ValueError: If no candidate can.
+        """
+        footprint = _storage_footprint(trace)
+        mask = self.max_data_size_gb >= footprint
+        if not mask.any():
+            raise ValueError(_no_storage_fit_message(footprint))
+        return mask
+
+    def mi_mask(self, trace: PerformanceTrace, plan: "MiStoragePlan") -> np.ndarray:
+        """MI candidates: the storage fit, restricted to BC unless Step 1 allows GP.
+
+        Raises:
+            ValueError: If no candidate is left.
+        """
+        mask = self.fit_mask(trace)
+        if not plan.gp_allowed:
+            mask = mask & self.bc_mask
+            if not mask.any():
+                raise ValueError("no MI SKU satisfies the storage requirement")
+        return mask
 
 #: Quantile summarizing the IOPS/throughput demand checked in Step 1.
 _STEP1_DEMAND_QUANTILE = 0.99
@@ -249,26 +319,15 @@ class PricePerformanceModeler:
                         trace, list(sizes) if sizes else None
                     )
                     iops_override = plan.layout.total_iops
-                footprint = self._storage_footprint(trace)
-                mask = state.max_data_size_gb >= footprint
-                if not mask.any():
-                    raise ValueError(_no_storage_fit_message(footprint))
-                if deployment is DeploymentType.SQL_MI and not plan.gp_allowed:
-                    mask = mask & state.bc_mask
-                    if not mask.any():
-                        raise ValueError("no MI SKU satisfies the storage requirement")
-                fit_masks[index] = mask
+                    fit_masks[index] = state.mi_mask(trace, plan)
+                else:
+                    fit_masks[index] = state.fit_mask(trace)
                 groups.setdefault((dims, iops_override), []).append(index)
             except Exception as exc:  # noqa: BLE001 - per-customer containment
                 results[index] = exc
 
         for (dims, iops_override), indices in groups.items():
-            caps = state.caps_for(dims)
-            if iops_override is not None and PerfDimension.IOPS in dims:
-                caps = caps.copy()
-                caps[state.gp_mask, dims.index(PerfDimension.IOPS)] = float(
-                    iops_override
-                )
+            caps = state.caps_for(dims, iops_override)
             probabilities = self.estimator.probabilities_batch_from_caps(
                 [traces[i].demand_matrix(dims) for i in indices], caps
             )
@@ -301,24 +360,37 @@ class PricePerformanceModeler:
             return exc
 
     # ------------------------------------------------------------------
-    # Capacity-matrix sharing (fleet shared-memory data plane)
+    # Candidates and capacities (the modeler owns the memo)
     # ------------------------------------------------------------------
-    def capacity_matrix_for(
-        self, deployment: DeploymentType, dimensions: tuple[PerfDimension, ...]
-    ) -> np.ndarray:
-        """The memoized candidate capacity matrix for a dimension tuple.
+    def candidates(self, deployment: DeploymentType) -> tuple[SkuSpec, ...]:
+        """Every catalog SKU of the deployment, in catalog (price) order."""
+        return self._deployment_state(deployment).skus
 
-        Public accessor over the columnar state's memo, used by the
-        fleet arena publisher to export capacities into shared memory
-        exactly as the batch kernel would build them.
+    def capacity_matrix_for(
+        self,
+        deployment: DeploymentType,
+        dimensions: tuple[PerfDimension, ...],
+        iops_overrides: Mapping[str, float] | None = None,
+    ) -> np.ndarray:
+        """The memoized, read-only capacity matrix over :meth:`candidates`.
+
+        Built once per (deployment, dimension tuple, GP IOPS override)
+        and shared by curve construction and every live estimator
+        bound to the deployment.  ``iops_overrides`` must be a
+        :func:`gp_iops_overrides` mapping over the candidates (or
+        None).
+
+        Raises:
+            ValueError: If ``iops_overrides`` is not such a mapping.
         """
-        return self._deployment_state(deployment).caps_for(dimensions)
+        state = self._deployment_state(deployment)
+        return state.caps_for(tuple(dimensions), state.gp_iops_of(iops_overrides))
 
     def has_capacity_matrix(
         self, deployment: DeploymentType, dimensions: tuple[PerfDimension, ...]
     ) -> bool:
-        """Whether the matrix for this tuple is already memoized."""
-        return dimensions in self._deployment_state(deployment)._caps_by_dims
+        """Whether the override-free matrix for this tuple is memoized."""
+        return (dimensions, None) in self._deployment_state(deployment)._caps
 
     def adopt_capacity_matrix(
         self,
@@ -329,11 +401,11 @@ class PricePerformanceModeler:
         """Seed the capacity memo with a parent-published matrix.
 
         The zero-copy rehydration hook: a process-pool worker installs
-        the capacity matrix its parent exported over shared memory so
-        the batch kernel skips rebuilding it from the catalog.  The
-        caller asserts the matrix equals what :meth:`caps_for` would
-        compute (the publisher exports from a sibling modeler's memo,
-        which guarantees it).  An already-memoized tuple is left
+        the override-free capacity matrix its parent exported over
+        shared memory so it skips rebuilding it from the catalog.  The
+        caller asserts the matrix equals what :meth:`capacity_matrix_for`
+        would compute (the publisher exports from a sibling modeler's
+        memo, which guarantees it).  An already-memoized tuple is left
         untouched.
 
         Raises:
@@ -341,7 +413,8 @@ class PricePerformanceModeler:
                 deployment's candidate set.
         """
         state = self._deployment_state(deployment)
-        if dimensions in state._caps_by_dims:
+        key = (dimensions, None)
+        if key in state._caps:
             return
         expected = (len(state.skus), len(dimensions))
         if caps.shape != expected:
@@ -352,14 +425,14 @@ class PricePerformanceModeler:
             )
         caps = np.ascontiguousarray(caps, dtype=np.float64)
         caps.flags.writeable = False
-        state._caps_by_dims[dimensions] = caps
+        state._caps[key] = caps
 
     def _deployment_state(self, deployment: DeploymentType) -> _DeploymentCurveState:
         """Columnar candidate state, memoized per deployment.
 
         Lazily attached to the (frozen) modeler; dropped on pickling
-        so worker processes rebuild it locally instead of shipping
-        redundant capacity matrices.
+        so worker processes rebuild it locally (a few milliseconds per
+        matrix) instead of shipping it.
         """
         cache = self.__dict__.get("_columnar_state")
         if cache is None:
@@ -382,7 +455,7 @@ class PricePerformanceModeler:
         file_sizes_gib: list[float] | None = None,
     ) -> MiStoragePlan:
         """Run MI Step 1: storage-tier planning and the 95 % filter."""
-        data_size = self._storage_footprint(trace)
+        data_size = _storage_footprint(trace)
         sizes = file_sizes_gib if file_sizes_gib else [data_size]
         layout = plan_file_layout(sizes)
         required_iops, required_throughput = self._io_demand(trace)
@@ -403,12 +476,9 @@ class PricePerformanceModeler:
         dimensions = tuple(dim for dim in DB_DIMENSIONS if dim in trace)
         if not dimensions:
             raise ValueError("trace has none of the DB performance dimensions")
-        candidates = self.catalog.for_deployment(DeploymentType.SQL_DB)
-        candidates = self._fit_storage(candidates, trace)
-        skus = list(candidates)
-        probabilities = self.estimator.probabilities(trace, skus, dimensions)
-        return PricePerformanceCurve.from_probabilities(
-            skus, probabilities, entity_id=trace.entity_id
+        state = self._deployment_state(DeploymentType.SQL_DB)
+        return self._curve_over(
+            trace, state, state.fit_mask(trace), state.caps_for(dimensions), dimensions
         )
 
     # ------------------------------------------------------------------
@@ -425,40 +495,35 @@ class PricePerformanceModeler:
             raise ValueError("trace has none of the MI performance dimensions")
         if plan is None:
             plan = self.plan_mi_storage(trace, file_sizes_gib)
-
-        candidates = self.catalog.for_deployment(DeploymentType.SQL_MI)
-        candidates = self._fit_storage(candidates, trace)
-        if not plan.gp_allowed:
-            candidates = candidates.for_tier(ServiceTier.BUSINESS_CRITICAL)
-        skus = list(candidates)
-        if not skus:
-            raise ValueError("no MI SKU satisfies the storage requirement")
-
+        state = self._deployment_state(DeploymentType.SQL_MI)
+        mask = state.mi_mask(trace, plan)
         # Step 2: GP SKUs inherit the file layout's summed IOPS limit.
-        overrides = gp_iops_overrides(skus, plan)
-        probabilities = self.estimator.probabilities(
-            trace, skus, dimensions, iops_overrides=overrides
-        )
-        return PricePerformanceCurve.from_probabilities(
-            skus, probabilities, entity_id=trace.entity_id
-        )
+        caps = state.caps_for(dimensions, plan.layout.total_iops)
+        return self._curve_over(trace, state, mask, caps, dimensions)
 
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _storage_footprint(trace: PerformanceTrace) -> float:
-        if PerfDimension.STORAGE in trace:
-            return trace[PerfDimension.STORAGE].max()
-        return 1.0
-
-    def _fit_storage(self, candidates: SkuCatalog, trace: PerformanceTrace) -> SkuCatalog:
-        """Drop SKUs that cannot hold the data at 100 % (never negotiable)."""
-        footprint = self._storage_footprint(trace)
-        fitted = candidates.fitting_storage(footprint)
-        if not len(fitted):
-            raise ValueError(_no_storage_fit_message(footprint))
-        return fitted
+    def _curve_over(
+        self,
+        trace: PerformanceTrace,
+        state: _DeploymentCurveState,
+        mask: np.ndarray,
+        caps: np.ndarray,
+        dimensions: tuple[PerfDimension, ...],
+    ) -> PricePerformanceCurve:
+        """The curve over the masked candidates, from their capacity rows."""
+        fitted = np.flatnonzero(mask).tolist()
+        probabilities = self.estimator.probabilities_from_caps(
+            trace.demand_matrix(dimensions), caps[fitted]
+        )
+        # Candidate subsets inherit catalog (price) order.
+        return PricePerformanceCurve.from_price_ordered(
+            [state.skus[j] for j in fitted],
+            [state.monthly_prices[j] for j in fitted],
+            probabilities,
+            entity_id=trace.entity_id,
+        )
 
     @staticmethod
     def _io_demand(trace: PerformanceTrace) -> tuple[float, float]:

@@ -219,9 +219,15 @@ def capacity_matrix(
 
 
 class ThrottlingEstimator(abc.ABC):
-    """Estimates ``P_n(SKU_i)`` from a trace for a batch of SKUs."""
+    """Estimates ``P_n(SKU_i)`` from a trace for a batch of SKUs.
 
-    @abc.abstractmethod
+    Subclasses implement :meth:`probabilities_from_caps`, the estimate
+    of one demand matrix against a capacity matrix.  Every per-SKU
+    estimate depends only on that SKU's capacity row, so callers that
+    hold a memoized matrix (the modeler) may pass any subset of its
+    rows.
+    """
+
     def probabilities(
         self,
         trace: PerformanceTrace,
@@ -239,6 +245,18 @@ class ThrottlingEstimator(abc.ABC):
                 IOPS capacity -- the MI file-layout limit of paper
                 Section 3.2 Step 2.
         """
+        if not skus:
+            return np.zeros(0)
+        return self.probabilities_from_caps(
+            demand_matrix(trace, dimensions),
+            capacity_matrix(list(skus), tuple(dimensions), iops_overrides),
+        )
+
+    @abc.abstractmethod
+    def probabilities_from_caps(
+        self, demands: np.ndarray, caps: np.ndarray
+    ) -> np.ndarray:
+        """One ``(n_samples, n_dims)`` demand matrix against ``(n_skus, n_dims)`` caps."""
 
     def probability(
         self,
@@ -281,14 +299,6 @@ class ThrottlingEstimator(abc.ABC):
             ]
         )
 
-    @staticmethod
-    def _capacity_matrix(
-        skus: list[SkuSpec],
-        dimensions: tuple[PerfDimension, ...],
-        iops_overrides: dict[str, float] | None,
-    ) -> np.ndarray:
-        return capacity_matrix(skus, dimensions, iops_overrides)
-
 
 @dataclass(frozen=True)
 class EmpiricalThrottlingEstimator(ThrottlingEstimator):
@@ -311,24 +321,16 @@ class EmpiricalThrottlingEstimator(ThrottlingEstimator):
 
     memory_cap_mb: float = DEFAULT_KERNEL_MEMORY_CAP_MB
 
-    def probabilities(self, trace, skus, dimensions, iops_overrides=None):
-        if not skus:
-            return np.zeros(0)
-        demands = demand_matrix(trace, dimensions)
-        caps = self._capacity_matrix(skus, dimensions, iops_overrides)
-        return self.probabilities_from_caps(demands, caps)
-
     def probabilities_from_caps(
         self, demands: np.ndarray, caps: np.ndarray
     ) -> np.ndarray:
-        """One trace against a precomputed capacity matrix."""
         counts = violation_counts(demands, caps, self.memory_cap_mb)
         return counts / demands.shape[0]
 
     def probabilities_batch(self, traces, skus, dimensions, iops_overrides=None):
         if not traces:
             return np.zeros((0, len(skus)))
-        caps = self._capacity_matrix(list(skus), tuple(dimensions), iops_overrides)
+        caps = capacity_matrix(list(skus), tuple(dimensions), iops_overrides)
         return self.probabilities_batch_from_caps(
             [demand_matrix(trace, dimensions) for trace in traces], caps
         )
@@ -367,14 +369,10 @@ class CopulaThrottlingEstimator(ThrottlingEstimator):
     n_draws: int = 4096
     seed: int = 0
 
-    def probabilities(self, trace, skus, dimensions, iops_overrides=None):
+    def probabilities_from_caps(self, demands, caps):
         from ..ml.copula import GaussianCopulaModel
 
-        if not skus:
-            return np.zeros(0)
-        demands = demand_matrix(trace, dimensions)
         model = GaussianCopulaModel.fit(demands)
-        caps = self._capacity_matrix(skus, dimensions, iops_overrides)
         return np.array(
             [
                 model.exceedance_probability(row, n_draws=self.n_draws, rng=self.seed)
@@ -398,10 +396,6 @@ class KdeThrottlingEstimator(ThrottlingEstimator):
 
     bandwidth_scale: float = 1.0
 
-    def probabilities(self, trace, skus, dimensions, iops_overrides=None):
-        if not skus:
-            return np.zeros(0)
-        demands = demand_matrix(trace, dimensions)
+    def probabilities_from_caps(self, demands, caps):
         kde = GaussianKde.fit(demands, bandwidth_scale=self.bandwidth_scale)
-        caps = self._capacity_matrix(skus, dimensions, iops_overrides)
         return np.array([kde.exceedance_probability(row) for row in caps])

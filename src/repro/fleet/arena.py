@@ -514,7 +514,7 @@ class ChunkPublisher:
         """Capacity matrices for the chunk's (deployment, dims) groups.
 
         Published lazily, once per pass; the matrices come from the
-        parent modeler's own memo (:meth:`caps_for`), so worker-adopted
+        parent modeler's own memo (:meth:`capacity_matrix_for`), so worker-adopted
         and worker-built capacities are byte-identical.
         """
         needed: dict[tuple[str, tuple[PerfDimension, ...]], _CapsSpec] = {}

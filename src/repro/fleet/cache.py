@@ -67,23 +67,13 @@ def catalog_signature(catalog: SkuCatalog) -> str:
     """Stable hash of a SKU set (names, prices and resource limits).
 
     A cache entry is only valid for the catalog its curve was built
-    against, so the signature is part of every cache key.  It is
-    computed once per fleet runner: the wrapped engine's catalog is
-    treated as immutable for the runner's lifetime (swapping catalogs
-    mid-campaign requires a fresh :class:`FleetEngine`); the signature
-    exists to keep keys distinct should several engines ever share a
-    cache.
+    against, so the signature is part of every cache key; it keeps
+    keys distinct should several engines ever share a cache.  The hash
+    is computed once per :class:`SkuCatalog` instance
+    (:attr:`SkuCatalog.signature`), so every fleet runner and live
+    recommender over one catalog reads the same memoized value.
     """
-    digest = hashlib.blake2b(digest_size=8)
-    for sku in sorted(catalog, key=lambda s: s.name):
-        for part in (
-            sku.name.encode("utf-8"),
-            repr(float(sku.price_per_hour)).encode("ascii"),
-            repr(sku.limits).encode("utf-8"),
-        ):
-            digest.update(len(part).to_bytes(8, "little"))
-            digest.update(part)
-    return digest.hexdigest()
+    return catalog.signature
 
 
 def curve_cache_key(

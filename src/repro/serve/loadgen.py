@@ -126,7 +126,10 @@ class LoadReport:
 
     ``requests_per_sec`` counts *completed* (ok) requests over the
     run's wall-clock; rejections and errors are accounted but not
-    credited as throughput.
+    credited as throughput.  ``late`` records, for open-loop runs, how
+    far behind its schedule the driver dispatched each request (the
+    health of the measurement itself); closed-loop runs have no
+    schedule and leave it None.
     """
 
     name: str
@@ -136,6 +139,7 @@ class LoadReport:
     n_errors: int
     duration_s: float
     latency: LatencyRecorder
+    late: LatencyRecorder | None = None
 
     @property
     def requests_per_sec(self) -> float:
@@ -163,14 +167,22 @@ class LoadReport:
             for label, value in self.latency.summary().items()
             if label.endswith("_ms")
         )
+        if self.late is not None:
+            late = self.late.summary()
+            out["late_p99_ms"] = late["p99_ms"]
+            out["late_max_ms"] = late["max_ms"]
         return out
 
 
 async def _timed_call(
-    submit: Callable[[], Awaitable], latency: LatencyRecorder
+    submit: Callable[[], Awaitable],
+    latency: LatencyRecorder,
+    started: float | None = None,
 ) -> str:
+    """Call ``submit`` once; latency runs from ``started`` (default: now)."""
     loop = asyncio.get_running_loop()
-    started = loop.time()
+    if started is None:
+        started = loop.time()
     try:
         await submit()
     except AdmissionError:
@@ -187,19 +199,24 @@ async def open_loop(
     """Fire ``submit`` at each schedule offset; never wait in between.
 
     Late tasks fire immediately (the driver never *re-throttles* a
-    backlog -- that would close the loop); every request's latency is
-    measured from its actual dispatch.
+    backlog -- that would close the loop).  Every request's latency is
+    measured from when it was *due*, so a stall shows in the latency
+    of every request queued behind it; how late the driver dispatched
+    is reported apart, as :attr:`LoadReport.late`.
     """
     loop = asyncio.get_running_loop()
     latency = LatencyRecorder()
+    late = LatencyRecorder()
     started = loop.time()
     tasks: list[asyncio.Task] = []
 
     async def fire_at(offset: float) -> str:
-        delay = started + offset - loop.time()
+        due = started + offset
+        delay = due - loop.time()
         if delay > 0:
             await asyncio.sleep(delay)
-        return await _timed_call(submit, latency)
+        late.record(max(0.0, loop.time() - due))
+        return await _timed_call(submit, latency, started=due)
 
     tasks = [loop.create_task(fire_at(offset)) for offset in schedule]
     outcomes = await asyncio.gather(*tasks)
@@ -212,6 +229,7 @@ async def open_loop(
         n_errors=sum(1 for outcome in outcomes if outcome == "error"),
         duration_s=duration,
         latency=latency,
+        late=late,
     )
 
 

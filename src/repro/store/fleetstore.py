@@ -64,6 +64,10 @@ __all__ = [
 
 SCHEMA_VERSION = 4
 
+#: Customer ids per ``IN (...)`` lookup, below SQLite's oldest
+#: host-parameter limit (999).
+_IN_CLAUSE_CHUNK = 500
+
 EVENT_KINDS = (
     "rebalance",
     "migration",
@@ -438,49 +442,74 @@ class FleetStore:
         Returns the summed size of the state blobs written, the
         per-checkpoint byte account delta checkpointing shrinks.
         """
+        stored = self._stored_epochs([record.customer_id for record in records])
+        recommendation_rows: list[tuple] = []
         n_bytes = 0
-        for record in records:
-            epoch = record.state.epoch if record.state is not None else 0
-            row = self._conn.execute(
-                "SELECT epoch, quarantined FROM customers WHERE customer_id = ?",
-                (record.customer_id,),
-            ).fetchone()
-            if row is not None and record.state is not None and epoch < row[0]:
-                raise StaleStateError(
-                    f"customer {record.customer_id!r}: refusing to store epoch {epoch} "
-                    f"over stored epoch {row[0]}"
-                )
-            blob = encode_state(record.state) if record.state is not None else None
-            if blob is not None:
-                n_bytes += len(blob)
-            self._conn.execute(
-                "INSERT INTO customers (customer_id, quarantined, epoch, updated_tick, state)"
-                " VALUES (?, ?, ?, ?, ?)"
-                " ON CONFLICT (customer_id) DO UPDATE SET"
-                "   quarantined = excluded.quarantined,"
-                "   epoch = excluded.epoch,"
-                "   updated_tick = excluded.updated_tick,"
-                "   state = excluded.state",
-                (record.customer_id, int(record.quarantined), epoch, tick_id, blob),
-            )
-            if record.state is not None and record.state.recommendation is not None:
-                rec = record.state.recommendation
-                self._conn.execute(
-                    "INSERT OR IGNORE INTO recommendations"
-                    " (customer_id, tick_id, n_refreshes, sku_name, monthly_price,"
-                    "  expected_throttling, strategy)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        record.customer_id,
-                        tick_id,
-                        record.state.n_refreshes,
-                        rec.sku.name,
-                        float(rec.sku.monthly_price),
-                        float(rec.expected_throttling),
-                        str(rec.strategy),
-                    ),
-                )
+
+        def customer_rows():
+            # A generator, so each state blob is encoded, written and
+            # dropped in turn rather than all held at once.
+            nonlocal n_bytes
+            for record in records:
+                state = record.state
+                epoch = state.epoch if state is not None else 0
+                stored_epoch = stored.get(record.customer_id)
+                if stored_epoch is not None and state is not None and epoch < stored_epoch:
+                    raise StaleStateError(
+                        f"customer {record.customer_id!r}: refusing to store epoch "
+                        f"{epoch} over stored epoch {stored_epoch}"
+                    )
+                stored[record.customer_id] = epoch
+                blob = encode_state(state) if state is not None else None
+                if blob is not None:
+                    n_bytes += len(blob)
+                yield (record.customer_id, int(record.quarantined), epoch, tick_id, blob)
+                if state is not None and state.recommendation is not None:
+                    rec = state.recommendation
+                    recommendation_rows.append(
+                        (
+                            record.customer_id,
+                            tick_id,
+                            state.n_refreshes,
+                            rec.sku.name,
+                            float(rec.sku.monthly_price),
+                            float(rec.expected_throttling),
+                            str(rec.strategy),
+                        )
+                    )
+
+        self._conn.executemany(
+            "INSERT INTO customers (customer_id, quarantined, epoch, updated_tick, state)"
+            " VALUES (?, ?, ?, ?, ?)"
+            " ON CONFLICT (customer_id) DO UPDATE SET"
+            "   quarantined = excluded.quarantined,"
+            "   epoch = excluded.epoch,"
+            "   updated_tick = excluded.updated_tick,"
+            "   state = excluded.state",
+            customer_rows(),
+        )
+        self._conn.executemany(
+            "INSERT OR IGNORE INTO recommendations"
+            " (customer_id, tick_id, n_refreshes, sku_name, monthly_price,"
+            "  expected_throttling, strategy)"
+            " VALUES (?, ?, ?, ?, ?, ?, ?)",
+            recommendation_rows,
+        )
         return n_bytes
+
+    def _stored_epochs(self, customer_ids: Sequence[str]) -> dict[str, int]:
+        """Stored epoch per customer id that has a row (lock held)."""
+        epochs: dict[str, int] = {}
+        for start in range(0, len(customer_ids), _IN_CLAUSE_CHUNK):
+            chunk = customer_ids[start : start + _IN_CLAUSE_CHUNK]
+            epochs.update(
+                self._conn.execute(
+                    "SELECT customer_id, epoch FROM customers WHERE customer_id IN"
+                    f" ({', '.join('?' * len(chunk))})",
+                    chunk,
+                ).fetchall()
+            )
+        return epochs
 
     def save_customer_states(
         self, records: Sequence[CustomerStateRecord], *, tick_id: int = 0

@@ -28,6 +28,8 @@ import pickle
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..streaming.live import LiveAssessmentState
 
@@ -44,9 +46,12 @@ __all__ = [
 ]
 
 #: Magic prefix of array-framed state blobs.  A plain pickle stream
-#: starts with ``\x80`` (the PROTO opcode), so the two formats can
-#: never collide and :func:`decode_state` reads both.
-STATE_FRAME_MAGIC = b"DSF1"
+#: starts with ``\x80`` (the PROTO opcode), so the formats can never
+#: collide and :func:`decode_state` reads all of them.
+STATE_FRAME_MAGIC = b"DSF2"
+
+#: Magic of the first framing, whose arrays were pickled as ndarrays.
+_NDARRAY_FRAME_MAGIC = b"DSF1"
 
 
 class FleetStoreError(RuntimeError):
@@ -128,6 +133,8 @@ def encode_state(state: "LiveAssessmentState") -> bytes:
     pickle's out-of-band buffer path instead of opcode-by-opcode
     object traversal.  Checkpoint encode and the streaming handoff
     thereby share one framing (and one set of byte-identity gates).
+    Each array is stored as (dtype, shape, raw bytes), which pickles
+    without the per-array Python call of ``ndarray.__reduce_ex__``.
     """
     from ..streaming.live import flatten_state
 
@@ -136,22 +143,32 @@ def encode_state(state: "LiveAssessmentState") -> bytes:
         skeleton = flatten_state(state, arrays)
     except Exception:  # noqa: BLE001 - unknown state shape: plain fallback
         return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+    payload = [(array.dtype.str, array.shape, array.tobytes()) for array in arrays]
     return STATE_FRAME_MAGIC + pickle.dumps(
-        (skeleton, arrays), protocol=pickle.HIGHEST_PROTOCOL
+        (skeleton, payload), protocol=pickle.HIGHEST_PROTOCOL
     )
 
 
 def decode_state(blob: bytes, *, customer_id: str = "?") -> "LiveAssessmentState":
     """Deserialize a stored snapshot, surfacing corruption loudly.
 
-    Reads both the array-framed format (``DSF1`` prefix) and legacy
-    plain pickles, so stores written before the framing landed keep
-    restoring.
+    Reads the raw-array framing (``DSF2``), the earlier ndarray
+    framing (``DSF1``) and legacy plain pickles, so stores written by
+    earlier builds keep restoring.  Decoded arrays are read-only views
+    of the blob; :func:`~repro.streaming.live.unflatten_state` copies
+    them out.
     """
     from ..streaming.live import unflatten_state
 
     try:
         if blob[:4] == STATE_FRAME_MAGIC:
+            skeleton, payload = pickle.loads(blob[4:])
+            arrays = [
+                np.frombuffer(data, dtype=dtype).reshape(shape)
+                for dtype, shape, data in payload
+            ]
+            state = unflatten_state(skeleton, arrays)
+        elif blob[:4] == _NDARRAY_FRAME_MAGIC:
             skeleton, arrays = pickle.loads(blob[4:])
             state = unflatten_state(skeleton, arrays)
         else:

@@ -19,6 +19,7 @@ against rebuild-per-sample.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Literal, Mapping
 
@@ -114,7 +115,10 @@ class LiveAssessmentState:
         entity_id: The assessed customer.
         builder: :meth:`~repro.telemetry.streaming.StreamingTraceBuilder.state_dict`.
         estimator: :meth:`~repro.core.incremental.IncrementalThrottlingEstimator.state_dict`.
-        detector: :meth:`~repro.streaming.drift.DriftDetector.state_dict`.
+        detector: :meth:`~repro.streaming.drift.DriftDetector.state_dict`,
+            with ``names`` None when they are the candidate names (the
+            restoring recommender supplies its own, as it does for the
+            estimator's counts).
         profile_stats: Per-dimension
             :meth:`~repro.telemetry.streaming.StreamingSeriesStats.state_dict`
             snapshots (empty in ``exact`` mode).
@@ -210,12 +214,18 @@ class LiveRecommender:
         )
         # Curve construction filters candidates per snapshot (storage
         # fit, MI tiers); the estimator tracks the full deployment
-        # candidate set so drift covers every SKU a refresh could rank.
-        candidates = list(engine.catalog.for_deployment(deployment))
+        # candidate set so drift covers every SKU a refresh could rank,
+        # and takes its capacity matrices from the modeler's memo.
+        candidates = engine.ppm.candidates(deployment)
         self.estimator = IncrementalThrottlingEstimator(
-            candidates, dimensions, window=window
+            candidates,
+            dimensions,
+            window=window,
+            capacities=functools.partial(
+                engine.ppm.capacity_matrix_for, deployment, tuple(dimensions)
+            ),
         )
-        self._candidates = tuple(candidates)
+        self._candidates = candidates
         self._sku_names = tuple(sku.name for sku in candidates)
         self.detector = DriftDetector(threshold=drift_threshold)
         self.cache = cache if cache is not None else CurveCache(DEFAULT_LIVE_CACHE_SIZE)
@@ -382,7 +392,7 @@ class LiveRecommender:
             entity_id=self.builder.entity_id,
             builder=self.builder.state_dict(),
             estimator=self.estimator.state_dict(),
-            detector=self.detector.state_dict(),
+            detector=self._detector_state(),
             profile_stats=tuple(
                 (dim, stats.state_dict()) for dim, stats in self._profile_stats.items()
             ),
@@ -390,6 +400,13 @@ class LiveRecommender:
             n_refreshes=self._n_refreshes,
             epoch=self._state_epoch,
         )
+
+    def _detector_state(self) -> dict:
+        """The detector snapshot, without names when they are the candidates'."""
+        state = self.detector.state_dict()
+        if state["names"] == self._sku_names:
+            state["names"] = None
+        return state
 
     def restore_state(self, state: LiveAssessmentState) -> None:
         """Adopt a :meth:`snapshot_state` snapshot; the inverse operation.
@@ -434,7 +451,10 @@ class LiveRecommender:
         self.builder.load_state(state.builder)
         self.builder.entity_id = state.entity_id
         self.estimator.load_state(state.estimator)
-        self.detector.load_state(state.detector)
+        detector = state.detector
+        if detector["names"] is None:
+            detector = {**detector, "names": self._sku_names}
+        self.detector.load_state(detector)
         if self.profile_mode == "streaming":
             snapshot_stats = dict(state.profile_stats)
             if set(snapshot_stats) != set(self._profile_stats):

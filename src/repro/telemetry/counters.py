@@ -80,14 +80,7 @@ class PerfDimension(enum.Enum):
 
     def capacity_of(self, limits: ResourceLimits) -> float:
         """The ``R_i`` capacity of a SKU along this dimension."""
-        return {
-            PerfDimension.CPU: limits.vcores,
-            PerfDimension.MEMORY: limits.max_memory_gb,
-            PerfDimension.IOPS: limits.max_data_iops,
-            PerfDimension.IO_LATENCY: limits.min_io_latency_ms,
-            PerfDimension.LOG_RATE: limits.max_log_rate_mbps,
-            PerfDimension.STORAGE: limits.max_data_size_gb,
-        }[self]
+        return getattr(limits, _CAPACITY_FIELD[self])
 
     def demand_and_capacity(self, observed: float, limits: ResourceLimits) -> tuple[float, float]:
         """Map an observed counter value and SKU limits to (demand, capacity).
@@ -110,6 +103,16 @@ class PerfDimension(enum.Enum):
             return observed, capacity
         return float(invert_latency(observed)), float(invert_latency(capacity))
 
+
+#: The :class:`ResourceLimits` field holding each dimension's capacity.
+_CAPACITY_FIELD: dict[PerfDimension, str] = {
+    PerfDimension.CPU: "vcores",
+    PerfDimension.MEMORY: "max_memory_gb",
+    PerfDimension.IOPS: "max_data_iops",
+    PerfDimension.IO_LATENCY: "min_io_latency_ms",
+    PerfDimension.LOG_RATE: "max_log_rate_mbps",
+    PerfDimension.STORAGE: "max_data_size_gb",
+}
 
 #: Dimensions used to build price-performance curves for SQL DB
 #: targets (paper Section 3.2: four primary + log rate and storage).

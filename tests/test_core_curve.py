@@ -1,9 +1,13 @@
 """Unit tests for price-performance curves."""
 
+import copyreg
+import io
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.core import CurveShape, PricePerformanceCurve
+from repro.core import CurvePoint, CurveShape, PricePerformanceCurve
 
 from .conftest import make_sku
 
@@ -97,3 +101,37 @@ class TestSelection:
     def test_scores_and_prices_aligned(self):
         curve = curve_from([0.5, 0.0, 0.0, 0.0])
         assert curve.scores().shape == curve.prices().shape == (4,)
+
+
+class TestPickling:
+    def test_round_trip_is_equal_and_keeps_named_points(self):
+        curve = curve_from([0.3, 0.1, 0.0, 0.0])
+        restored = pickle.loads(pickle.dumps(curve))
+        assert restored == curve
+        assert restored.entity_id == curve.entity_id
+        assert all(type(point) is CurvePoint for point in restored.points)
+
+    def test_restored_curves_share_their_skus(self):
+        skus = [make_sku(v) for v in (2, 4, 8)]
+        first, second = (
+            PricePerformanceCurve.from_probabilities(skus, np.array(probs))
+            for probs in ([0.5, 0.1, 0.0], [0.2, 0.2, 0.0])
+        )
+        a, b = (pickle.loads(pickle.dumps(c)) for c in (first, second))
+        assert [p.sku for p in a] == skus
+        assert all(x.sku is y.sku for x, y in zip(a, b))
+
+    def test_curves_pickled_by_the_default_protocol_still_load(self):
+        """State blobs written before the columnar pickle keep restoring."""
+        curve = curve_from([0.3, 0.1, 0.0, 0.0])
+
+        class DefaultProtocol(pickle.Pickler):
+            def reducer_override(self, obj):
+                if type(obj) is PricePerformanceCurve:
+                    # What object.__reduce_ex__ gives a dataclass by default.
+                    return copyreg.__newobj__, (type(obj),), dict(vars(obj))
+                return NotImplemented
+
+        buffer = io.BytesIO()
+        DefaultProtocol(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(curve)
+        assert pickle.loads(buffer.getvalue()) == curve

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -39,6 +40,7 @@ from repro.serve import (
     serve,
 )
 from repro.serve.http import _handle_one
+from repro.serve.loadgen import closed_loop, open_loop
 from repro.serve.service import _Lane
 from repro.telemetry.serialize import trace_to_dict
 
@@ -290,6 +292,32 @@ class TestMetrics:
             "mean_batch": 3.0,
             "max_batch": 4,
         }
+
+
+class TestOpenLoop:
+    def test_requests_are_timed_from_their_due_time(self):
+        """A stall shows in the latency of every request queued behind it."""
+        calls = []
+
+        async def submit():
+            if not calls:
+                time.sleep(0.06)  # blocks the loop: later requests go out late
+            calls.append(None)
+
+        report = asyncio.run(open_loop(submit, [0.0, 0.01, 0.02]))
+        assert report.n_ok == 3
+        # The two requests due during the stall waited 40-50 ms for it.
+        assert report.latency.quantile_ms(0.5) >= 30.0
+        assert report.late.max_seconds >= 0.03
+        assert report.to_dict()["late_max_ms"] >= 30.0
+
+    def test_closed_loop_reports_no_lateness(self):
+        async def submit():
+            return None
+
+        report = asyncio.run(closed_loop(submit, n_workers=2, n_requests=4))
+        assert report.late is None
+        assert "late_p99_ms" not in report.to_dict()
 
 
 # ----------------------------------------------------------------------

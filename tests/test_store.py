@@ -609,6 +609,23 @@ class TestStateFrameEncoding:
                 getattr(state, field.name)
             ), field.name
 
+    def test_ndarray_framed_blob_still_decodes(self, small_catalog):
+        """Blobs of the first framing (pickled ndarrays, ``DSF1``) restore."""
+        import dataclasses
+
+        from repro.store.persistence import decode_state
+        from repro.streaming.live import flatten_state
+
+        state = make_state(small_catalog)
+        arrays: list = []
+        skeleton = flatten_state(state, arrays)
+        blob = b"DSF1" + pickle.dumps((skeleton, arrays), protocol=pickle.HIGHEST_PROTOCOL)
+        decoded = decode_state(blob, customer_id="cust-0")
+        for field in dataclasses.fields(state):
+            assert pickle.dumps(getattr(decoded, field.name)) == pickle.dumps(
+                getattr(state, field.name)
+            ), field.name
+
     def test_torn_frame_is_a_corruption_error(self, small_catalog):
         from repro.store.persistence import encode_state
 
